@@ -114,18 +114,12 @@ func main() {
 	poller := mixen.StartRuntimePoller(reg, time.Second, schedPoolSampler(reg), s.sampleSLO)
 	defer poller.Stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	st := s.state()
-	if st.part != nil {
-		log.Printf("mixenserve: serving %d nodes / %d edges on %s from mapped partition %s (epoch=%d reorder=%s side=%d max-concurrent=%d max-queue=%d cache=%dB)",
-			st.n, st.edges, *addr, st.part.File, st.part.Epoch, st.part.Reorder, st.part.Side, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
-	} else {
-		log.Printf("mixenserve: serving %d nodes / %d edges on %s (max-concurrent=%d max-queue=%d cache=%dB)",
-			st.n, st.edges, *addr, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
-	}
-
+	// Both signal handlers are installed BEFORE the listener starts: a
+	// client that sees the port answer may signal at once, and a SIGTERM
+	// that lands ahead of its handler kills the process instead of
+	// draining it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// SIGHUP re-opens the .mixp partition in place: the new mapping is
 	// swapped in atomically and its build epoch invalidates both caches.
 	// Requests already running keep their old snapshot until they finish.
@@ -144,8 +138,18 @@ func main() {
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.ListenAndServe() }()
+	st := s.state()
+	if st.part != nil {
+		log.Printf("mixenserve: serving %d nodes / %d edges on %s from mapped partition %s (epoch=%d reorder=%s side=%d max-concurrent=%d max-queue=%d cache=%dB)",
+			st.n, st.edges, *addr, st.part.File, st.part.Epoch, st.part.Reorder, st.part.Side, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
+	} else {
+		log.Printf("mixenserve: serving %d nodes / %d edges on %s (max-concurrent=%d max-queue=%d cache=%dB)",
+			st.n, st.edges, *addr, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
+	}
+
 	select {
 	case err := <-errc:
 		fail(err) // listener died before any signal

@@ -138,28 +138,29 @@ func (e *BlockGAS) Run(prog vprog.Program) (*vprog.Result, error) {
 			for _, sb := range p.Cols[j] {
 				off := int(sb.EntryOff) * w
 				vals := bins[off : off+len(sb.Srcs)*w]
+				// One flat loop over the flagged destination stream: bit 31
+				// steps to the next bin value (the message boundary GPOP marks
+				// in the id's top bit), the low bits are the destination.
+				k := -1
 				if ring == vprog.Sum && w == 1 {
-					for k := range sb.Srcs {
-						v := vals[k]
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							s.y[d] += v
-						}
+					for _, d := range sb.Dst {
+						k += int(d >> 31)
+						s.y[d&block.DstMask] += vals[k]
 					}
 					continue
 				}
-				for k := range sb.Srcs {
+				for _, d := range sb.Dst {
+					k += int(d >> 31)
 					vb := vals[k*w : k*w+w]
-					for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-						base := int(d) * w
-						if ring == vprog.Sum {
-							for l := 0; l < w; l++ {
-								s.y[base+l] += vb[l]
-							}
-						} else {
-							for l := 0; l < w; l++ {
-								if vb[l] < s.y[base+l] {
-									s.y[base+l] = vb[l]
-								}
+					base := int(d&block.DstMask) * w
+					if ring == vprog.Sum {
+						for l := 0; l < w; l++ {
+							s.y[base+l] += vb[l]
+						}
+					} else {
+						for l := 0; l < w; l++ {
+							if vb[l] < s.y[base+l] {
+								s.y[base+l] = vb[l]
 							}
 						}
 					}

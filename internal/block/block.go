@@ -24,7 +24,7 @@ import (
 // Edge compression (the paper's "messages from a single source node to
 // multiple destination nodes ... compressed into a single transmission"):
 // the dynamic bin holds one buffered value per contributing source, not one
-// per edge; destinations are replayed from DstIdx during Gather.
+// per edge; destinations are replayed from Dst during Gather.
 //
 // A SubBlock is immutable once NewPartition returns: it carries topology
 // only. The dynamic-bin VALUES (one Width-lane slot per entry, rewritten by
@@ -37,9 +37,16 @@ type SubBlock struct {
 
 	SrcLo, SrcHi int // source id range covered (after splitting)
 
-	Srcs     []graph.Node // sources with >=1 edge into this block, ascending
-	DstStart []int32      // len(Srcs)+1 offsets into DstIdx
-	DstIdx   []graph.Node // destination ids (global), grouped by source
+	Srcs []graph.Node // sources with >=1 edge into this block, ascending
+
+	// Dst is the block's destination stream, one element per edge, grouped
+	// by source in Srcs order: the low 31 bits (DstMask) are the global
+	// destination id and bit 31 (RunStart) is set on the first destination
+	// of each source's run. Every entry has at least one edge, so the flags
+	// delimit exactly len(Srcs) runs and Gather replays the block with one
+	// flat loop — `k += int(d >> 31)` steps to the next bin value — instead
+	// of a per-source inner loop.
+	Dst []uint32
 
 	// EntryOff is this block's first slot in a flat per-run bin array of
 	// Partition.CompressedEntries entries: a workspace with w lanes keeps
@@ -47,8 +54,16 @@ type SubBlock struct {
 	EntryOff int64
 }
 
+// Flag and mask of a SubBlock.Dst element. Ids must fit the mask, which
+// caps a partitioned submatrix at MaxNodes nodes.
+const (
+	RunStart uint32 = 1 << 31
+	DstMask  uint32 = RunStart - 1
+	MaxNodes        = 1 << 31
+)
+
 // NumEdges returns the edge count in this sub-block.
-func (sb *SubBlock) NumEdges() int64 { return int64(len(sb.DstIdx)) }
+func (sb *SubBlock) NumEdges() int64 { return int64(len(sb.Dst)) }
 
 // NumEntries returns the compressed message count (one per source).
 func (sb *SubBlock) NumEntries() int { return len(sb.Srcs) }
@@ -148,6 +163,9 @@ func (p *Partition) CompressionRatio() float64 {
 // NewPartition blocks the square submatrix given by ptr/idx (r+1 pointers,
 // ptr[r] edges; every index must be < r).
 func NewPartition(ptr []int64, idx []graph.Node, r int, cfg Config) (*Partition, error) {
+	if r > MaxNodes {
+		return nil, fmt.Errorf("block: %d nodes exceed the %d the flagged destination stream can address", r, MaxNodes)
+	}
 	if r < 0 || len(ptr) != r+1 {
 		return nil, fmt.Errorf("block: bad csr, r=%d len(ptr)=%d", r, len(ptr))
 	}
@@ -280,9 +298,25 @@ func (p *Partition) buildSourceIndex(threads int) {
 
 // builder accumulates one (block-row, block-col) cell before splitting.
 type builder struct {
-	srcs     []graph.Node
-	dstStart []int32
-	dstIdx   []graph.Node
+	srcs []graph.Node
+	dst  []uint32
+}
+
+// add appends source u's run of destinations (all in this cell) to the
+// cell, flagging the run's first element — or, with compression off, every
+// element as a one-edge run of its own entry.
+func (c *builder) add(u graph.Node, run []graph.Node, compress bool) {
+	n := len(c.dst)
+	c.dst = append(c.dst, run...)
+	if compress {
+		c.srcs = append(c.srcs, u)
+		c.dst[n] |= RunStart
+		return
+	}
+	for e := range run {
+		c.srcs = append(c.srcs, u)
+		c.dst[n+e] |= RunStart
+	}
 }
 
 func buildBlockRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges int64) []*SubBlock {
@@ -303,19 +337,7 @@ func buildBlockRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges
 			for end < len(row) && int(row[end])/side == j {
 				end++
 			}
-			c := &cells[j]
-			if cfg.DisableCompression {
-				// One bin entry per edge: repeat the source per destination.
-				for e := k; e < end; e++ {
-					c.srcs = append(c.srcs, graph.Node(u))
-					c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
-					c.dstIdx = append(c.dstIdx, row[e])
-				}
-			} else {
-				c.srcs = append(c.srcs, graph.Node(u))
-				c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
-				c.dstIdx = append(c.dstIdx, row[k:end]...)
-			}
+			cells[j].add(graph.Node(u), row[k:end], !cfg.DisableCompression)
 			k = end
 		}
 	}
@@ -325,7 +347,6 @@ func buildBlockRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges
 		if len(c.srcs) == 0 {
 			continue
 		}
-		c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
 		out = append(out, splitCell(c, i, j, lo, hi, maxEdges)...)
 	}
 	return out
@@ -335,44 +356,40 @@ func buildBlockRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges
 // maxEdges edges (source-aligned split; a single source's run is never
 // divided, so a pathological hub row can still exceed the cap by itself).
 func splitCell(c *builder, i, j, lo, hi int, maxEdges int64) []*SubBlock {
-	total := int64(len(c.dstIdx))
-	if maxEdges == 0 || total <= maxEdges {
+	total := len(c.dst)
+	if maxEdges == 0 || int64(total) <= maxEdges {
 		sb := &SubBlock{
 			BlockRow: i, BlockCol: j,
 			SrcLo: lo, SrcHi: hi,
-			Srcs: c.srcs, DstStart: c.dstStart, DstIdx: c.dstIdx,
+			Srcs: c.srcs, Dst: c.dst,
 		}
 		return []*SubBlock{sb}
 	}
 	var out []*SubBlock
-	start := 0
-	for start < len(c.srcs) {
-		end := start
-		var edges int64
-		for end < len(c.srcs) {
-			rowLen := int64(c.dstStart[end+1] - c.dstStart[end])
-			if end > start && edges+rowLen > maxEdges {
-				break
-			}
-			edges += rowLen
-			end++
-		}
-		srcs := c.srcs[start:end]
-		base := c.dstStart[start]
-		dstStart := make([]int32, end-start+1)
-		for k := start; k <= end; k++ {
-			dstStart[k-start] = c.dstStart[k] - base
-		}
-		sb := &SubBlock{
+	emit := func(sLo, sHi, dLo, dHi int) {
+		srcs := c.srcs[sLo:sHi]
+		out = append(out, &SubBlock{
 			BlockRow: i, BlockCol: j,
 			SrcLo: int(srcs[0]), SrcHi: int(srcs[len(srcs)-1]) + 1,
-			Srcs:     srcs,
-			DstStart: dstStart,
-			DstIdx:   c.dstIdx[c.dstStart[start]:c.dstStart[end]],
-		}
-		out = append(out, sb)
-		start = end
+			Srcs: srcs, Dst: c.dst[dLo:dHi],
+		})
 	}
+	// One pass over the stream: [runLo, pos) is source k's run each time pos
+	// reaches a flag (or the end); a piece is cut before the run that would
+	// push it past maxEdges. Pieces are subslices — the flags travel along.
+	start, dLo := 0, 0 // first source and first edge of the open piece
+	k, runLo := 0, 0
+	for pos := 1; pos <= total; pos++ {
+		if pos < total && c.dst[pos]&RunStart == 0 {
+			continue
+		}
+		if k > start && int64(pos-dLo) > maxEdges {
+			emit(start, k, dLo, runLo)
+			start, dLo = k, runLo
+		}
+		k, runLo = k+1, pos
+	}
+	emit(start, len(c.srcs), dLo, total)
 	return out
 }
 
@@ -382,12 +399,6 @@ func (p *Partition) Validate() error {
 	for _, sb := range p.Blocks {
 		if sb.BlockRow < 0 || sb.BlockRow >= p.B || sb.BlockCol < 0 || sb.BlockCol >= p.B {
 			return fmt.Errorf("block: sub-block (%d,%d) outside %d×%d grid", sb.BlockRow, sb.BlockCol, p.B, p.B)
-		}
-		if len(sb.DstStart) != len(sb.Srcs)+1 {
-			return fmt.Errorf("block: (%d,%d) DstStart len %d, want %d", sb.BlockRow, sb.BlockCol, len(sb.DstStart), len(sb.Srcs)+1)
-		}
-		if int(sb.DstStart[len(sb.Srcs)]) != len(sb.DstIdx) {
-			return fmt.Errorf("block: (%d,%d) DstStart tail mismatch", sb.BlockRow, sb.BlockCol)
 		}
 		if sb.EntryOff != entries {
 			return fmt.Errorf("block: (%d,%d) EntryOff %d, want %d", sb.BlockRow, sb.BlockCol, sb.EntryOff, entries)
@@ -399,11 +410,9 @@ func (p *Partition) Validate() error {
 			if k > 0 && sb.Srcs[k-1] > s {
 				return fmt.Errorf("block: (%d,%d) sources not sorted", sb.BlockRow, sb.BlockCol)
 			}
-			for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-				if int(d)/p.Side != sb.BlockCol {
-					return fmt.Errorf("block: (%d,%d) destination %d outside block-col", sb.BlockRow, sb.BlockCol, d)
-				}
-			}
+		}
+		if err := sb.validateDst(p.Side); err != nil {
+			return err
 		}
 		edges += sb.NumEdges()
 		entries += int64(len(sb.Srcs))
@@ -425,6 +434,25 @@ func (p *Partition) Validate() error {
 		return fmt.Errorf("block: row/col grouping mismatch (%d, %d, %d)", rowCount, colCount, len(p.Blocks))
 	}
 	return p.validateSourceIndex()
+}
+
+// validateDst checks the flagged stream: it opens with a run start, holds
+// exactly one run per source, and stays inside the block's column.
+func (sb *SubBlock) validateDst(side int) error {
+	runs := 0
+	for e, d := range sb.Dst {
+		runs += int(d >> 31)
+		if runs == 0 {
+			return fmt.Errorf("block: (%d,%d) edge %d precedes the first run start", sb.BlockRow, sb.BlockCol, e)
+		}
+		if int(d&DstMask)/side != sb.BlockCol {
+			return fmt.Errorf("block: (%d,%d) destination %d outside block-col", sb.BlockRow, sb.BlockCol, d&DstMask)
+		}
+	}
+	if runs != len(sb.Srcs) {
+		return fmt.Errorf("block: (%d,%d) %d destination runs for %d sources", sb.BlockRow, sb.BlockCol, runs, len(sb.Srcs))
+	}
+	return nil
 }
 
 // validateSourceIndex cross-checks the per-source entry index and the

@@ -2,6 +2,8 @@ package block
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -264,10 +266,10 @@ func TestPropertyEdgeRecovery(t *testing.T) {
 		}
 		var recovered []graph.Edge
 		for _, sb := range p.Blocks {
-			for k, s := range sb.Srcs {
-				for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-					recovered = append(recovered, graph.Edge{Src: s, Dst: d})
-				}
+			k := -1
+			for _, d := range sb.Dst {
+				k += int(d >> 31)
+				recovered = append(recovered, graph.Edge{Src: sb.Srcs[k], Dst: d & DstMask})
 			}
 		}
 		g2, err := graph.FromEdges(r, recovered)
@@ -292,6 +294,110 @@ func TestPropertyEdgeRecovery(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Decoding Dst by its run-start flags must give back, for every source, its
+// adjacency row cut at block-column boundaries: one run per (source, cell)
+// with compression on — whole, also in a split cell's pieces — and one
+// single-edge run per edge with it off, in adjacency order either way.
+func TestPropertyFlaggedStreamDecodesAdjacencyRuns(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := 1 + rng.Intn(80)
+		edges := make([]graph.Edge, rng.Intn(600))
+		for i := range edges {
+			// Squaring skews the sources, so some cells overload and split.
+			u := rng.Intn(r) * rng.Intn(r) / r
+			edges[i] = graph.Edge{Src: graph.Node(u), Dst: graph.Node(rng.Intn(r))}
+		}
+		g, err := graph.FromEdges(r, edges)
+		if err != nil {
+			return false
+		}
+		side := 1 + rng.Intn(r)
+		for _, cfg := range []Config{
+			{Side: side}, // unsplit cells
+			{Side: side, MaxLoadFactor: 0.5 + rng.Float64()},
+			{Side: side, MaxLoadFactor: 1, DisableCompression: true},
+		} {
+			p, err := NewPartition(g.OutPtr, g.OutIdx, r, cfg)
+			if err != nil || p.Validate() != nil {
+				return false
+			}
+			if cfg.MaxLoadFactor == 0 && p.Splits != 0 {
+				return false
+			}
+			// got[u][j] collects source u's decoded runs into column j, in
+			// Blocks order (split pieces of a cell are adjacent).
+			got := make([]map[int][][]graph.Node, r)
+			for _, sb := range p.Blocks {
+				k := -1
+				for _, d := range sb.Dst {
+					if d&RunStart != 0 {
+						k++
+						u := sb.Srcs[k]
+						if got[u] == nil {
+							got[u] = map[int][][]graph.Node{}
+						}
+						got[u][sb.BlockCol] = append(got[u][sb.BlockCol], nil)
+					}
+					if k < 0 {
+						return false
+					}
+					runs := got[sb.Srcs[k]][sb.BlockCol]
+					runs[len(runs)-1] = append(runs[len(runs)-1], d&DstMask)
+				}
+				if k != len(sb.Srcs)-1 {
+					return false
+				}
+			}
+			for u := 0; u < r; u++ {
+				row := g.OutNeighbors(graph.Node(u))
+				cols := 0
+				for lo := 0; lo < len(row); {
+					j := int(row[lo]) / side
+					hi := lo
+					for hi < len(row) && int(row[hi])/side == j {
+						hi++
+					}
+					cols++
+					runs := got[u][j]
+					if cfg.DisableCompression {
+						if len(runs) != hi-lo {
+							return false
+						}
+						for e, run := range runs {
+							if len(run) != 1 || run[0] != row[lo+e] {
+								return false
+							}
+						}
+					} else if len(runs) != 1 || !slices.Equal(runs[0], row[lo:hi]) {
+						return false
+					}
+					lo = hi
+				}
+				if len(got[u]) != cols {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionRejectsUnaddressableSize: ids must fit the 31 bits the
+// flagged stream leaves them.
+func TestPartitionRejectsUnaddressableSize(t *testing.T) {
+	const r = MaxNodes + 1
+	if _, err := NewPartition(nil, nil, r, Config{}); err == nil || !strings.Contains(err.Error(), "exceed") {
+		t.Fatalf("NewPartition on r > 2^31: %v, want the size error", err)
+	}
+	if _, err := AssembleFlat(Flat{R: r, Side: 1 << 20}); err == nil {
+		t.Fatal("AssembleFlat accepted r > 2^31")
 	}
 }
 

@@ -19,11 +19,9 @@ import (
 // Concatenation contract (all in Blocks order, i.e. block-row major,
 // column-ordered within a row, split pieces adjacent):
 //
-//	Heads[i]                           block i's grid cell and source range
-//	Srcs[SrcOff[i]:SrcOff[i+1]]        block i's Srcs
-//	DstStart[SrcOff[i]+i : SrcOff[i+1]+i+1]  block i's DstStart
-//	                                   (len Srcs+1 each, hence the +i shift)
-//	DstIdx[DstOff[i]:DstOff[i+1]]      block i's DstIdx
+//	Heads[i]                      block i's grid cell and source range
+//	Srcs[SrcOff[i]:SrcOff[i+1]]   block i's Srcs
+//	Dst[DstOff[i]:DstOff[i+1]]    block i's flagged destination stream
 //
 // SrcOff doubles as the EntryOff sequence: block i's first dynamic-bin slot
 // is SrcOff[i], and SrcOff[len(Heads)] == CompressedEntries.
@@ -34,11 +32,10 @@ type Flat struct {
 
 	Heads  []FlatBlock
 	SrcOff []int64 // len(Heads)+1 prefix over Srcs (and bin entries)
-	DstOff []int64 // len(Heads)+1 prefix over DstIdx
+	DstOff []int64 // len(Heads)+1 prefix over Dst
 
-	Srcs     []graph.Node
-	DstStart []int32
-	DstIdx   []graph.Node
+	Srcs []graph.Node
+	Dst  []uint32 // see SubBlock.Dst
 
 	// Per-source entry index and row/column aggregates, stored verbatim
 	// (see Partition field docs). SrcEntryIdx/SrcEntryCol may be nil when
@@ -58,7 +55,7 @@ type FlatBlock struct {
 }
 
 // Flatten returns the flat view of p. The Heads/SrcOff/DstOff arrays are
-// freshly built (they are derived metadata); Srcs/DstStart/DstIdx are NOT
+// freshly built (they are derived metadata); Srcs/Dst are NOT
 // copied here — callers that need the concatenated arrays stream them
 // block-by-block in Blocks order (each block's slices are separate
 // allocations in a built partition), which is what the partio writer does.
@@ -90,14 +87,17 @@ func (p *Partition) Flatten() Flat {
 }
 
 // AssembleFlat rebuilds a Partition from its flat form. Every SubBlock's
-// Srcs/DstStart/DstIdx is a subslice of the flat arrays — zero copies — so
-// the returned partition is only valid while the backing arrays are (for a
+// Srcs/Dst is a subslice of the flat arrays — zero copies — so the
+// returned partition is only valid while the backing arrays are (for a
 // mapping, until munmap). Validation here is structural and O(blocks +
 // grid): offsets monotone and in range, cells inside the grid, aggregates
-// and DstStart frames consistent. Per-entry invariants are covered by the
-// file checksum upstream and by Partition.Validate in tests.
+// consistent, every block non-empty with its first edge flagged as a run
+// start. Per-entry invariants (one flag per source, ids inside the column)
+// are covered by the file checksum upstream and by Partition.Validate in
+// tests; a stream that breaks them fails a Gather bounds check, it cannot
+// write outside y.
 func AssembleFlat(fl Flat) (*Partition, error) {
-	if fl.R < 0 || fl.Side <= 0 && fl.R > 0 {
+	if fl.R < 0 || fl.R > MaxNodes || fl.Side <= 0 && fl.R > 0 {
 		return nil, fmt.Errorf("block: flat: bad geometry r=%d side=%d", fl.R, fl.Side)
 	}
 	nb := len(fl.Heads)
@@ -134,7 +134,7 @@ func AssembleFlat(fl Flat) (*Partition, error) {
 		return nil, fmt.Errorf("block: flat: blocks hold %d edges, header says %d", fl.DstOff[nb], fl.Nnz)
 	}
 	ce := fl.SrcOff[nb]
-	if int64(len(fl.Srcs)) != ce || int64(len(fl.DstStart)) != ce+int64(nb) || int64(len(fl.DstIdx)) != fl.Nnz {
+	if int64(len(fl.Srcs)) != ce || int64(len(fl.Dst)) != fl.Nnz {
 		return nil, fmt.Errorf("block: flat: array lengths inconsistent with offsets")
 	}
 	p.CompressedEntries = ce
@@ -166,20 +166,18 @@ func AssembleFlat(fl Flat) (*Partition, error) {
 		}
 		sLo, sHi := fl.SrcOff[i], fl.SrcOff[i+1]
 		dLo, dHi := fl.DstOff[i], fl.DstOff[i+1]
-		if sHi < sLo || dHi < dLo {
-			return nil, fmt.Errorf("block: flat: block %d offsets decrease", i)
+		if sHi < sLo || dHi < dLo || sHi > ce || dHi > fl.Nnz {
+			return nil, fmt.Errorf("block: flat: block %d offsets decrease or overrun", i)
 		}
-		ds := fl.DstStart[sLo+int64(i) : sHi+int64(i)+1]
-		if ds[0] != 0 || int64(ds[len(ds)-1]) != dHi-dLo {
-			return nil, fmt.Errorf("block: flat: block %d DstStart frame mismatch", i)
+		if sHi == sLo || dHi-dLo < sHi-sLo || fl.Dst[dLo]&RunStart == 0 {
+			return nil, fmt.Errorf("block: flat: block %d (%d sources, %d edges) does not open with a run start", i, sHi-sLo, dHi-dLo)
 		}
 		sb := &blocks[i]
 		*sb = SubBlock{
 			BlockRow: int(h.Row), BlockCol: int(h.Col),
 			SrcLo: int(h.SrcLo), SrcHi: int(h.SrcHi),
 			Srcs:     fl.Srcs[sLo:sHi],
-			DstStart: ds,
-			DstIdx:   fl.DstIdx[dLo:dHi],
+			Dst:      fl.Dst[dLo:dHi],
 			EntryOff: sLo,
 		}
 		p.Blocks[i] = sb

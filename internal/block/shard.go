@@ -397,26 +397,14 @@ func (sh *Sharding) buildCutRow(ptr []int64, idx []graph.Node, i int, cfg Config
 				cells[j] = c
 				touched = append(touched, j)
 			}
-			if cfg.DisableCompression {
-				for e := k; e < end; e++ {
-					c.srcs = append(c.srcs, graph.Node(u))
-					c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
-					c.dstIdx = append(c.dstIdx, row[e])
-				}
-			} else {
-				c.srcs = append(c.srcs, graph.Node(u))
-				c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
-				c.dstIdx = append(c.dstIdx, row[k:end]...)
-			}
+			c.add(graph.Node(u), row[k:end], !cfg.DisableCompression)
 			k = end
 		}
 	}
 	sort.Ints(touched)
 	var out []*SubBlock
 	for _, j := range touched {
-		c := cells[j]
-		c.dstStart = append(c.dstStart, int32(len(c.dstIdx)))
-		out = append(out, splitCell(c, i, j, lo, hi, maxEdges)...)
+		out = append(out, splitCell(cells[j], i, j, lo, hi, maxEdges)...)
 	}
 	return out
 }
@@ -622,15 +610,13 @@ func (sh *Sharding) Validate() error {
 			}
 		}
 		lastKey = key
-		for k, src := range sb.Srcs {
+		for _, src := range sb.Srcs {
 			if int(src)/sh.Side != sb.BlockRow {
 				return fmt.Errorf("block: cut (%d,%d) source %d outside row", sb.BlockRow, sb.BlockCol, src)
 			}
-			for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-				if int(d)/sh.Side != sb.BlockCol {
-					return fmt.Errorf("block: cut (%d,%d) dst %d outside col", sb.BlockRow, sb.BlockCol, d)
-				}
-			}
+		}
+		if err := sb.validateDst(sh.Side); err != nil {
+			return fmt.Errorf("block: cut: %w", err)
 		}
 		cutEntries += int64(len(sb.Srcs))
 		cutEdges += sb.NumEdges()

@@ -125,10 +125,10 @@ func TestShardingValidate(t *testing.T) {
 // single-partition replay is the structural bit-identity guarantee.
 func foldSources(p *Partition, j int, dst map[graph.Node][]graph.Node) {
 	for _, sb := range p.Cols[j] {
-		for k, s := range sb.Srcs {
-			for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-				dst[d] = append(dst[d], s)
-			}
+		k := -1
+		for _, d := range sb.Dst {
+			k += int(d >> 31)
+			dst[d&DstMask] = append(dst[d&DstMask], sb.Srcs[k])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,8 +194,7 @@ func TestCancellableIterationAllocatesNothing(t *testing.T) {
 	if _, _, err := e.RunInWorkspace(algo.NewPageRank(g, 0.85, 0, 10), ws); err != nil {
 		t.Fatal(err)
 	}
-	ws.rc.stop.Store(false)
-	ws.rc.stopPtr = &ws.rc.stop
+	ws.rc.stopPtr = new(atomic.Bool)
 	defer func() { ws.rc.stopPtr = nil }()
 	allocs := testing.AllocsPerRun(50, func() {
 		ws.rc.iterateMain()

@@ -195,3 +195,34 @@ func TestMainPhaseIterationAllocatesNothing(t *testing.T) {
 		t.Fatalf("main-phase iteration allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestMultiThreadRunAllocations pins the per-run allocation count of a
+// reused workspace at Threads 2 on a graph with seeds and sinks: the seed
+// partial bins and the sink accumulators live in the workspace, so a whole
+// run allocates its Result and at most a stray scheduler job descriptor.
+func TestMultiThreadRunAllocations(t *testing.T) {
+	g := skewedForConcurrency(t)
+	e, err := New(g, Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.F.NumSeed < 2 || e.F.NumSink == 0 {
+		t.Fatalf("fixture has %d seeds / %d sinks; the test needs both", e.F.NumSeed, e.F.NumSink)
+	}
+	ws, err := e.NewWorkspace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := algo.NewPageRank(g, 0.85, 0, 5)
+	if _, _, err := e.RunInWorkspace(prog, ws); err != nil { // sizes the partials
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := e.RunInWorkspace(prog, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("a Threads=2 run in a reused workspace allocated %.1f times, want at most 2", allocs)
+	}
+}

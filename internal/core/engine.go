@@ -436,7 +436,13 @@ func (e *Engine) RandomAccessesPerIteration() int64 {
 	return e.P.RandomAccessesPerIteration()
 }
 
-// RunStats breaks a run down by phase.
+// RunStats breaks a run down by phase. The three phase times cover the
+// whole run, so Total() is the run's wall time up to clock reads: PreTime
+// spans program Init over all nodes plus the seed push into the static
+// bins, MainTime the iterations, PostTime the sink pull plus the
+// translation of the result to original id order. The request-trace
+// pre_phase/post_phase spans and the core.pre_ns/post_ns histograms follow
+// the same definition.
 type RunStats struct {
 	PreTime  time.Duration
 	MainTime time.Duration
@@ -630,14 +636,16 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 		if err := ctx.Err(); err != nil {
 			return nil, stats, st.m.cancelled(err)
 		}
-		rc.stop.Store(false)
-		rc.stopPtr = &rc.stop
 		// The stop flag lets phase loops abandon unclaimed chunks
 		// mid-iteration; AfterFunc arms it from a separate goroutine, which
 		// may lag when every P is busy in the phase loops, so the
 		// coordinator additionally polls the done channel (closed
-		// synchronously by cancel) at iteration boundaries.
-		unregister := context.AfterFunc(ctx, func() { rc.stop.Store(true) })
+		// synchronously by cancel) at iteration boundaries. The flag is per
+		// run, not per workspace: a lagging AfterFunc of an earlier,
+		// cancelled run on this workspace must not stop this one.
+		stop := new(atomic.Bool)
+		rc.stopPtr = stop
+		unregister := context.AfterFunc(ctx, func() { stop.Store(true) })
 		defer unregister()
 	}
 	rc.prog = prog
@@ -660,17 +668,14 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 		rc.workEnt[i] = 0
 	}
 
-	// x and y are full property arrays in NEW id space. Both carry the seed
-	// segment (constant) so pointer swapping stays valid.
+	// Pre-Phase: program Init, then the seed contributions accumulated into
+	// the static bins. x and y are full property arrays in NEW id space;
+	// both carry the seed segment (constant) so pointer swapping stays valid.
+	t0 := time.Now()
 	sched.ForRange(n, rc.threads, 1024, rc.initBody)
 	copy(rc.y, rc.x)
-
 	st.m.runs.Inc()
-
-	// Pre-Phase: accumulate the seed contributions into the static bins.
-	t0 := time.Now()
-	fillIdentity(rc.sta, rc.ring)
-	e.pushSeeds(rc.x, rc.scale, rc.sta, rc.ring, w)
+	rc.pushSeeds()
 	stats.PreTime = time.Since(t0)
 	st.m.preNs.Observe(int64(stats.PreTime))
 	for _, t := range reqTraces {
@@ -701,8 +706,7 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 		rc.first = iter == 0
 		if e.cfg.DisableCache {
 			// Ablation: redo the seed propagation every iteration.
-			fillIdentity(rc.sta, rc.ring)
-			e.pushSeeds(rc.x, rc.scale, rc.sta, rc.ring, w)
+			rc.pushSeeds()
 		}
 		var it obs.IterationTrace
 		var d float64
@@ -825,15 +829,14 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 	if pp, ok := prog.(vprog.PostPhaser); ok {
 		pp.EnterPostPhase()
 	}
-	e.postSinks(prog, rc.x, rc.scale, rc.ring, w, rc.threads)
+	sched.ForRange(e.F.NumSink, rc.threads, 64, rc.sinkBody)
+	// Translate back to original id order.
+	sched.ForRange(n, rc.threads, 1024, rc.translateBody)
 	stats.PostTime = time.Since(t2)
 	st.m.postNs.Observe(int64(stats.PostTime))
 	for _, t := range reqTraces {
 		t.AddSpanIter(obs.SpanPostPhase, 0, t2, t2.Add(stats.PostTime))
 	}
-
-	// Translate back to original id order.
-	sched.ForRange(n, rc.threads, 1024, rc.translateBody)
 	return &vprog.Result{Values: out, Iterations: iter, Delta: delta}, stats, nil
 }
 
@@ -932,38 +935,84 @@ func fillIdentity(a []float64, ring vprog.Ring) {
 	}
 }
 
-// pushSeeds accumulates send(x_seed) into sta over the seed CSR. sta must
-// already hold the ring identity. Seeds are partitioned statically across
-// workers with per-worker partial bins to avoid write contention, then
-// reduced (identity-valued partials collapse under either ring).
-func (e *Engine) pushSeeds(x, scale, sta []float64, ring vprog.Ring, w int) {
-	f := e.F
+// pushSeeds resets the static bins and accumulates send(x_seed) into them
+// over the seed CSR. Seeds are partitioned statically across workers with
+// per-worker partial bins to avoid write contention, then reduced in worker
+// order (identity-valued partials collapse under either ring). The
+// partials live in the workspace, sized on the first multi-thread run.
+func (rc *runCtx) pushSeeds() {
+	f := rc.e.F
 	s := f.NumSeed
+	fillIdentity(rc.sta, rc.ring)
 	if s == 0 || f.NumRegular == 0 {
 		return
 	}
-	threads := e.cfg.Threads
-	if threads > s {
-		threads = s
-	}
-	if threads <= 1 {
-		e.pushSeedRangeInto(x, scale, sta, ring, w, 0, s)
+	t := rc.seedWorkers()
+	if t <= 1 {
+		rc.e.pushSeedRangeInto(rc.x, rc.scale, rc.sta, rc.ring, rc.w, 0, s)
 		return
 	}
-	partials := make([][]float64, threads)
-	sched.ForStatic(s, threads, func(worker, lo, hi int) {
-		part := make([]float64, len(sta))
-		fillIdentity(part, ring)
-		e.pushSeedRangeInto(x, scale, part, ring, w, lo, hi)
-		partials[worker] = part
-	})
-	sched.For(len(sta), threads, 4096, func(i int) {
-		acc := sta[i]
-		for _, part := range partials {
-			acc = ring.Combine(acc, part[i])
+	if need := t * len(rc.sta); len(rc.seedParts) < need {
+		rc.seedParts = make([]float64, need)
+	}
+	sched.ForRange(t, t, 1, rc.seedPushBody)
+	sched.ForRange(len(rc.sta), t, 4096, rc.seedReduceBody)
+}
+
+// seedWorkers is the number of workers (and partial bins) pushSeeds uses.
+func (rc *runCtx) seedWorkers() int { return min(rc.threads, rc.e.F.NumSeed) }
+
+// buildEdgePhaseBodies constructs the prebuilt Pre-/Post-Phase loop bodies
+// (see buildBodies for why they are built once and capture only rc).
+func (rc *runCtx) buildEdgePhaseBodies() {
+	// Worker t pushes seeds [t·s/T, (t+1)·s/T) into its own partial.
+	rc.seedPushBody = func(lo, hi int) {
+		s, n, workers := rc.e.F.NumSeed, len(rc.sta), rc.seedWorkers()
+		for t := lo; t < hi; t++ {
+			part := rc.seedParts[t*n : (t+1)*n]
+			fillIdentity(part, rc.ring)
+			rc.e.pushSeedRangeInto(rc.x, rc.scale, part, rc.ring, rc.w, t*s/workers, (t+1)*s/workers)
 		}
-		sta[i] = acc
-	})
+	}
+	rc.seedReduceBody = func(lo, hi int) {
+		n, workers := len(rc.sta), rc.seedWorkers()
+		for i := lo; i < hi; i++ {
+			acc := rc.sta[i]
+			for t := 0; t < workers; t++ {
+				acc = rc.ring.Combine(acc, rc.seedParts[t*n+i])
+			}
+			rc.sta[i] = acc
+		}
+	}
+	// Post-Phase: each sink's value, once, from the final source values via
+	// the sink CSC. The sink's own (by now unused) y slot is its accumulator.
+	rc.sinkBody = func(lo, hi int) {
+		f := rc.e.F
+		x, scale, w, ring := rc.x, rc.scale, rc.w, rc.ring
+		base := f.SinkBound()
+		for i := lo; i < hi; i++ {
+			v := base + i
+			acc := rc.y[v*w : v*w+w]
+			fillIdentity(acc, ring)
+			for _, u := range f.SinkIdx[f.SinkPtr[i]:f.SinkPtr[i+1]] {
+				sc := scale[u]
+				ub := int(u) * w
+				if ring == vprog.Sum {
+					for l := 0; l < w; l++ {
+						acc[l] += x[ub+l] * sc
+					}
+				} else {
+					for l := 0; l < w; l++ {
+						s := x[ub+l] + sc
+						if s < acc[l] {
+							acc[l] = s
+						}
+					}
+				}
+			}
+			rc.prog.Apply(uint32(f.OldID[v]), acc, x[v*w:v*w+w], x[v*w:v*w+w])
+		}
+	}
 }
 
 func (e *Engine) pushSeedRangeInto(x, scale, dst []float64, ring vprog.Ring, w, lo, hi int) {
@@ -995,43 +1044,4 @@ func (e *Engine) pushSeedRangeInto(x, scale, dst []float64, ring vprog.Ring, w, 
 			}
 		}
 	}
-}
-
-// postSinks computes each sink's value once from the final source values
-// (SCGA Post-Phase) via the sink CSC.
-func (e *Engine) postSinks(prog vprog.Program, x, scale []float64, ring vprog.Ring, w, threads int) {
-	f := e.F
-	k := f.NumSink
-	if k == 0 {
-		return
-	}
-	base := f.SinkBound()
-	sched.ForRange(k, threads, 64, func(lo, hi int) {
-		acc := make([]float64, w)
-		for i := lo; i < hi; i++ {
-			v := base + i
-			id := ring.Identity()
-			for l := 0; l < w; l++ {
-				acc[l] = id
-			}
-			for _, u := range f.SinkIdx[f.SinkPtr[i]:f.SinkPtr[i+1]] {
-				sc := scale[u]
-				ub := int(u) * w
-				if ring == vprog.Sum {
-					for l := 0; l < w; l++ {
-						acc[l] += x[ub+l] * sc
-					}
-				} else {
-					for l := 0; l < w; l++ {
-						s := x[ub+l] + sc
-						if s < acc[l] {
-							acc[l] = s
-						}
-					}
-				}
-			}
-			old := uint32(f.OldID[v])
-			prog.Apply(old, acc, x[v*w:v*w+w], x[v*w:v*w+w])
-		}
-	})
 }

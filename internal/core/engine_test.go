@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"mixen/internal/algo"
 	"mixen/internal/gen"
 	"mixen/internal/graph"
+	"mixen/internal/vprog"
 )
 
 // tiny graph: 0->1, 0->2, 1->2, 2->0, 3->2, 5->4
@@ -429,6 +431,38 @@ func TestRunWithStatsPhases(t *testing.T) {
 	// Main-Phase dominates on an iterative run.
 	if stats.MainTime < stats.PostTime {
 		t.Fatalf("main %v < post %v on a 4-iteration run", stats.MainTime, stats.PostTime)
+	}
+}
+
+// slowInit burns a known time inside Init (on one node, so the total does
+// not depend on the thread count).
+type slowInit struct {
+	vprog.Program
+	burn time.Duration
+}
+
+func (p slowInit) Init(v uint32, out []float64) {
+	if v == 0 {
+		time.Sleep(p.burn)
+	}
+	p.Program.Init(v, out)
+}
+
+// TestPreTimeCoversInit: the phases sum to the run, so time spent in the
+// program's Init is booked to the Pre-Phase (one-sided: PreTime may be
+// larger, never smaller).
+func TestPreTimeCoversInit(t *testing.T) {
+	e, err := New(skewedForConcurrency(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const burn = 25 * time.Millisecond
+	_, stats, err := e.RunWithStats(slowInit{algo.NewInDegree(2), burn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PreTime < burn {
+		t.Fatalf("PreTime %v does not cover the %v spent in Init", stats.PreTime, burn)
 	}
 }
 

@@ -86,6 +86,10 @@ type runCtx struct {
 	bins      []float64 // flat dynamic bins (len CompressedEntries*w)
 	colDelta  []float64 // per-block-column convergence delta (len B)
 
+	// seedParts holds pushSeeds' per-worker partial static bins
+	// (seedWorkers() × len(sta)); allocated by the first multi-thread run.
+	seedParts []float64
+
 	// Frontier state. Gather records, per block-column j, the nodes whose
 	// Apply changed their value — exactly the sources block-row j must
 	// re-send next iteration (the grid is square, so column j's node range
@@ -129,14 +133,14 @@ type runCtx struct {
 	// (their block-row had no changed source), cumulative over the run.
 	skipped atomic.Int64
 
-	// stop is armed via context.AfterFunc when the run's context can be
-	// cancelled; stopPtr points at it for cancellable runs and is nil
-	// otherwise, so the ctx-less hot path pays one nil check per phase
-	// loop and the coordinator one atomic load per iteration.
-	stop    atomic.Bool
+	// stopPtr is the run's stop flag, armed via context.AfterFunc when the
+	// run's context can be cancelled, and nil otherwise, so the ctx-less
+	// hot path pays one nil check per phase loop and the coordinator one
+	// atomic load per iteration.
 	stopPtr *atomic.Bool
 
-	initBody    func(lo, hi int)
+	initBody, seedPushBody, seedReduceBody, sinkBody func(lo, hi int)
+
 	scatterBody func(lo, hi int)
 	// cutScatterBody is scatterBody shifted past the shard-local blocks:
 	// index i covers Blocks[NumLocalBlocks+i], the cut (outbox) blocks of
@@ -187,6 +191,7 @@ func (e *Engine) newWorkspace(w int) *Workspace {
 	rc.sparseNodes = make([]int32, r)
 	rc.sparseOff = make([]int64, r+1)
 	rc.buildBodies()
+	rc.buildEdgePhaseBodies()
 	return ws
 }
 
@@ -338,50 +343,7 @@ func (rc *runCtx) buildBodies() {
 				atomic.StoreUint32(&rc.colDirty[sb.BlockCol], 1)
 			}
 			off := int(sb.EntryOff) * w
-			srcs := sb.Srcs
-			if w == 1 {
-				// Reslicing to len(srcs) lets the compiler drop the
-				// bounds check on vals[k] (k ranges over srcs).
-				vals := rc.bins[off : off+len(srcs)]
-				vals = vals[:len(srcs)]
-				if ring == vprog.Sum {
-					for k, s := range srcs {
-						vals[k] = x[s] * scale[s]
-					}
-				} else {
-					for k, s := range srcs {
-						vals[k] = x[s] + scale[s]
-					}
-				}
-				continue
-			}
-			vals := rc.bins[off : off+len(srcs)*w]
-			if ring == vprog.Sum {
-				// Hoisted per-source subslices: ranging over xb and
-				// indexing the same-length vb lets the compiler drop the
-				// bounds checks in the lane loop.
-				for k, s := range srcs {
-					sc := scale[s]
-					base := int(s) * w
-					xb := x[base : base+w]
-					vb := vals[k*w : k*w+w]
-					vb = vb[:len(xb)]
-					for l, xv := range xb {
-						vb[l] = xv * sc
-					}
-				}
-				continue
-			}
-			for k, s := range srcs {
-				sc := scale[s]
-				base := int(s) * w
-				xb := x[base : base+w]
-				vb := vals[k*w : k*w+w]
-				vb = vb[:len(xb)]
-				for l, xv := range xb {
-					vb[l] = xv + sc
-				}
-			}
+			scatterBlock(ring, w, rc.bins[off:off+len(sb.Srcs)*w], x, scale, sb.Srcs)
 		}
 	}
 
@@ -474,9 +436,6 @@ func (rc *runCtx) buildBodies() {
 		track := rc.track
 		sep := p.SrcEntryPtr
 		side := p.Side
-		// Per-call staging buffer for one source's lanes (stack-allocated,
-		// so safe under concurrent body invocations).
-		var laneBuf [16]float64
 		for j := lo; j < hi; j++ {
 			// The first iteration must Apply everywhere (seed-only columns
 			// have no sub-blocks yet carry static contributions); with
@@ -496,215 +455,7 @@ func (rc *runCtx) buildBodies() {
 			}
 			for _, sb := range p.Cols[j] {
 				off := int(sb.EntryOff) * w
-				srcs := sb.Srcs
-				if w == 1 {
-					vals := rc.bins[off : off+len(srcs)]
-					vals = vals[:len(srcs)]
-					ds := sb.DstStart[: len(srcs)+1 : len(srcs)+1]
-					if ring == vprog.Sum {
-						for k := range srcs {
-							v := vals[k]
-							for _, d := range sb.DstIdx[ds[k]:ds[k+1]] {
-								y[d] += v
-							}
-						}
-					} else {
-						for k := range srcs {
-							v := vals[k]
-							for _, d := range sb.DstIdx[ds[k]:ds[k+1]] {
-								if v < y[d] {
-									y[d] = v
-								}
-							}
-						}
-					}
-					continue
-				}
-				vals := rc.bins[off : off+len(srcs)*w]
-				if ring == vprog.Sum {
-					// Unrolled small widths: the source's lanes live in
-					// registers across the destination loop, and the
-					// constant-length reslice needs one bounds check per
-					// destination.
-					if w == 2 {
-						for k := range srcs {
-							v0, v1 := vals[k*2], vals[k*2+1]
-							for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-								yb := y[int(d)*2:][:2]
-								yb[0] += v0
-								yb[1] += v1
-							}
-						}
-						continue
-					}
-					if w == 4 {
-						for k := range srcs {
-							v0, v1 := vals[k*4], vals[k*4+1]
-							v2, v3 := vals[k*4+2], vals[k*4+3]
-							for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-								yb := y[int(d)*4:][:4]
-								yb[0] += v0
-								yb[1] += v1
-								yb[2] += v2
-								yb[3] += v3
-							}
-						}
-						continue
-					}
-					if w == 8 {
-						for k := range srcs {
-							v0, v1 := vals[k*8], vals[k*8+1]
-							v2, v3 := vals[k*8+2], vals[k*8+3]
-							v4, v5 := vals[k*8+4], vals[k*8+5]
-							v6, v7 := vals[k*8+6], vals[k*8+7]
-							for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-								yb := y[int(d)*8:][:8]
-								yb[0] += v0
-								yb[1] += v1
-								yb[2] += v2
-								yb[3] += v3
-								yb[4] += v4
-								yb[5] += v5
-								yb[6] += v6
-								yb[7] += v7
-							}
-						}
-						continue
-					}
-					// Hoisted destination subslices: ranging over vb and
-					// indexing the same-length yb eliminates the bounds
-					// checks in the lane loop (the hot path of width-K
-					// batched serving). Small widths stage the source's
-					// lanes in a local buffer — the compiler cannot prove
-					// vals and y are disjoint, so reading vb directly would
-					// reload every lane from memory at every destination.
-					for k := range srcs {
-						vb := vals[k*w : k*w+w]
-						if w <= len(laneBuf) {
-							lanes := laneBuf[:w]
-							copy(lanes, vb)
-							for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-								base := int(d) * w
-								yb := y[base : base+w]
-								yb = yb[:len(lanes)]
-								for l, vv := range lanes {
-									yb[l] += vv
-								}
-							}
-							continue
-						}
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							base := int(d) * w
-							yb := y[base : base+w]
-							yb = yb[:len(vb)]
-							for l, vv := range vb {
-								yb[l] += vv
-							}
-						}
-					}
-					continue
-				}
-				if w == 2 {
-					for k := range srcs {
-						v0, v1 := vals[k*2], vals[k*2+1]
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							yb := y[int(d)*2:][:2]
-							if v0 < yb[0] {
-								yb[0] = v0
-							}
-							if v1 < yb[1] {
-								yb[1] = v1
-							}
-						}
-					}
-					continue
-				}
-				if w == 4 {
-					for k := range srcs {
-						v0, v1 := vals[k*4], vals[k*4+1]
-						v2, v3 := vals[k*4+2], vals[k*4+3]
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							yb := y[int(d)*4:][:4]
-							if v0 < yb[0] {
-								yb[0] = v0
-							}
-							if v1 < yb[1] {
-								yb[1] = v1
-							}
-							if v2 < yb[2] {
-								yb[2] = v2
-							}
-							if v3 < yb[3] {
-								yb[3] = v3
-							}
-						}
-					}
-					continue
-				}
-				if w == 8 {
-					for k := range srcs {
-						v0, v1 := vals[k*8], vals[k*8+1]
-						v2, v3 := vals[k*8+2], vals[k*8+3]
-						v4, v5 := vals[k*8+4], vals[k*8+5]
-						v6, v7 := vals[k*8+6], vals[k*8+7]
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							yb := y[int(d)*8:][:8]
-							if v0 < yb[0] {
-								yb[0] = v0
-							}
-							if v1 < yb[1] {
-								yb[1] = v1
-							}
-							if v2 < yb[2] {
-								yb[2] = v2
-							}
-							if v3 < yb[3] {
-								yb[3] = v3
-							}
-							if v4 < yb[4] {
-								yb[4] = v4
-							}
-							if v5 < yb[5] {
-								yb[5] = v5
-							}
-							if v6 < yb[6] {
-								yb[6] = v6
-							}
-							if v7 < yb[7] {
-								yb[7] = v7
-							}
-						}
-					}
-					continue
-				}
-				for k := range srcs {
-					vb := vals[k*w : k*w+w]
-					if w <= len(laneBuf) {
-						lanes := laneBuf[:w]
-						copy(lanes, vb)
-						for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-							base := int(d) * w
-							yb := y[base : base+w]
-							yb = yb[:len(lanes)]
-							for l, vv := range lanes {
-								if vv < yb[l] {
-									yb[l] = vv
-								}
-							}
-						}
-						continue
-					}
-					for _, d := range sb.DstIdx[sb.DstStart[k]:sb.DstStart[k+1]] {
-						base := int(d) * w
-						yb := y[base : base+w]
-						yb = yb[:len(vb)]
-						for l, vv := range vb {
-							if vv < yb[l] {
-								yb[l] = vv
-							}
-						}
-					}
-				}
+				gatherBlock(ring, w, y, rc.bins[off:off+len(sb.Srcs)*w], sb.Dst)
 			}
 			// Apply over this block-column's node range. With tracking on,
 			// changed nodes become block-row j's frontier worklist for the

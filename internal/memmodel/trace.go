@@ -97,20 +97,18 @@ func TracePullIters(g *graph.Graph, x []float64, h *Hierarchy, iters int) *Trace
 
 // blockAddrs precomputes base addresses for a partition's arrays.
 type blockAddrs struct {
-	srcs, dstStart, dstIdx, vals []uint64
+	srcs, dst, vals []uint64
 }
 
 func allocPartitionW(a *arena, p *block.Partition, w int) blockAddrs {
 	ba := blockAddrs{
-		srcs:     make([]uint64, len(p.Blocks)),
-		dstStart: make([]uint64, len(p.Blocks)),
-		dstIdx:   make([]uint64, len(p.Blocks)),
-		vals:     make([]uint64, len(p.Blocks)),
+		srcs: make([]uint64, len(p.Blocks)),
+		dst:  make([]uint64, len(p.Blocks)),
+		vals: make([]uint64, len(p.Blocks)),
 	}
 	for i, sb := range p.Blocks {
 		ba.srcs[i] = a.alloc(int64(len(sb.Srcs)) * szU)
-		ba.dstStart[i] = a.alloc(int64(len(sb.DstStart)) * szU)
-		ba.dstIdx[i] = a.alloc(int64(len(sb.DstIdx)) * szU)
+		ba.dst[i] = a.alloc(int64(len(sb.Dst)) * szU)
 		ba.vals[i] = a.alloc(int64(len(sb.Srcs)) * szF * int64(w))
 	}
 	return ba
@@ -133,7 +131,7 @@ func blockIndexOf(p *block.Partition) map[*block.SubBlock]int {
 //
 // w is the property width: every float access (x, y, sta, bins) covers w
 // lanes — w·szF bytes at a w-scaled address — while the index arrays
-// (srcs, dstStart, dstIdx, CSR pointers) are read once regardless of w.
+// (srcs, dst, CSR pointers) are read once regardless of w.
 // That asymmetry is exactly the amortization a fused width-w batch of w
 // scalar queries exploits. The simulated arithmetic stays scalar (lanes of
 // a fused batch of one query are identical), so the returned vector still
@@ -195,17 +193,19 @@ func traceGAS(p *block.Partition, x, sta []float64, receivers []bool, h *Hierarc
 		for j := 0; j < p.B; j++ {
 			for _, sb := range p.Cols[j] {
 				i := bi[sb]
-				for k := range sb.Srcs {
-					h.Read(ba.vals[i]+uint64(k)*wF, w*szF)
-					h.Read(ba.dstStart[i]+uint64(k)*szU, 2*szU)
-					v := vals[i][k]
-					for e := sb.DstStart[k]; e < sb.DstStart[k+1]; e++ {
-						d := sb.DstIdx[e]
-						h.Read(ba.dstIdx[i]+uint64(e)*szU, szU)
-						h.Read(baseY+uint64(d)*wF, w*szF)
-						h.Write(baseY+uint64(d)*wF, w*szF)
-						next[d] += v
+				// The flagged stream, as Gather walks it: a run start reads
+				// the next bin value, every element one destination id.
+				k := -1
+				for e, d := range sb.Dst {
+					h.Read(ba.dst[i]+uint64(e)*szU, szU)
+					if d&block.RunStart != 0 {
+						k++
+						h.Read(ba.vals[i]+uint64(k)*wF, w*szF)
 					}
+					d &= block.DstMask
+					h.Read(baseY+uint64(d)*wF, w*szF)
+					h.Write(baseY+uint64(d)*wF, w*szF)
+					next[d] += vals[i][k]
 				}
 			}
 		}

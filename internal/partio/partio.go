@@ -36,8 +36,12 @@ import (
 const (
 	// Magic is the file magic, "MIXP" read as a little-endian uint32.
 	Magic uint32 = 'M' | 'I'<<8 | 'X'<<16 | 'P'<<24
-	// Version is the current format version. Readers reject other versions.
-	Version uint32 = 1
+	// Version is the current format version. Readers reject other versions:
+	// files are used in place, never converted, so an old one is rebuilt
+	// from the graph (mixenconvert -partition). Version 2 replaced version
+	// 1's destination ids + per-entry offsets with the one flagged
+	// destination stream of block.SubBlock.Dst.
+	Version uint32 = 2
 	// ArchLE64 is the only defined architecture word: little-endian with
 	// the 64-bit array layouts this package writes.
 	ArchLE64 uint32 = 1
@@ -70,8 +74,7 @@ const (
 	secBlkSrcOff
 	secBlkDstOff
 	secSrcs
-	secDstStart
-	secDstIdx
+	secDst
 	secSrcEntryPtr
 	secSrcEntryIdx
 	secSrcEntryCol

@@ -1,6 +1,7 @@
 package partio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
@@ -50,6 +51,27 @@ func writeTemp(t testing.TB, f *filter.Filtered, p *block.Partition, deg []float
 	return path
 }
 
+func readFile(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return b
+}
+
+// sectionOffset returns the payload offset of section id in a .mixp image.
+func sectionOffset(t testing.TB, b []byte, id uint32) uint64 {
+	t.Helper()
+	for i := uint32(0); i < decodeHeader(b).sections; i++ {
+		if s := decodeSection(b[headerLen+i*tableEntLen:]); s.id == id {
+			return s.offset
+		}
+	}
+	t.Fatalf("section %d not in the table", id)
+	return 0
+}
+
 func comparePartition(t testing.TB, want, got *block.Partition) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
@@ -69,7 +91,7 @@ func comparePartition(t testing.TB, want, got *block.Partition) {
 		if w.BlockRow != g.BlockRow || w.BlockCol != g.BlockCol || w.SrcLo != g.SrcLo || w.SrcHi != g.SrcHi || w.EntryOff != g.EntryOff {
 			t.Fatalf("block %d header mismatch: want %+v, got %+v", i, w, g)
 		}
-		if !reflect.DeepEqual(w.Srcs, g.Srcs) || !reflect.DeepEqual(w.DstStart, g.DstStart) || !reflect.DeepEqual(w.DstIdx, g.DstIdx) {
+		if !reflect.DeepEqual(w.Srcs, g.Srcs) || !reflect.DeepEqual(w.Dst, g.Dst) {
 			t.Fatalf("block %d payload mismatch", i)
 		}
 	}
@@ -145,6 +167,15 @@ func TestRoundTrip(t *testing.T) {
 			defer pf.Close()
 			comparePartition(t, p, pf.P)
 			compareFiltered(t, f, pf.F)
+			// Same graph, same layout, same epoch: the same bytes, also from
+			// a second (parallel) build of the partition.
+			p2, err := block.NewPartition(f.RegPtr, f.RegIdx, f.NumRegular, block.Config{Side: tc.side, MaxLoadFactor: 2, Threads: 3})
+			if err != nil {
+				t.Fatalf("NewPartition: %v", err)
+			}
+			if a, b := readFile(t, path), readFile(t, writeTemp(t, f, p2, deg, lay)); !bytes.Equal(a, b) {
+				t.Fatalf("two writes of the same partition differ (%d vs %d bytes)", len(a), len(b))
+			}
 			if !reflect.DeepEqual(deg, pf.OutDeg) {
 				t.Fatalf("out-degree snapshot mismatch")
 			}
@@ -249,6 +280,27 @@ func TestCorruption(t *testing.T) {
 			wantErr: "version",
 		},
 		{
+			// A version-1 file (separate destination ids and offsets) is
+			// refused, with the way out in the message.
+			name: "version_1_file",
+			mutate: func(b []byte) []byte {
+				binary.LittleEndian.PutUint32(b[4:], 1)
+				return b
+			},
+			wantErr: "mixenconvert -partition",
+		},
+		{
+			// The first edge of the first block loses its run-start flag;
+			// with the checksum skipped the assembly check must catch it.
+			name: "cleared_run_start",
+			mutate: func(b []byte) []byte {
+				b[sectionOffset(t, b, secDst)+3] &^= 0x80
+				return b
+			},
+			opts:    []Options{{SkipChecksum: true}},
+			wantErr: "run start",
+		},
+		{
 			name: "bad_arch_word",
 			mutate: func(b []byte) []byte {
 				binary.LittleEndian.PutUint32(b[8:], 99)
@@ -350,6 +402,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
 	f.Add([]byte{9, 9, 9, 9, 0, 0, 0, 0, 1, 2, 200, 17})
+	f.Add([]byte{40, 5, 1, 2, 1, 3, 1, 4, 2, 1, 3, 1, 4, 1, 1, 5, 5, 1}) // compression off
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -367,8 +420,14 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 			return
 		}
 		fd := filter.Filter(g)
-		side := 1 + int(data[0])%16
-		p, err := block.NewPartition(fd.RegPtr, fd.RegIdx, fd.NumRegular, block.Config{Side: side, MaxLoadFactor: 2})
+		// The second byte picks the shape of the flagged destination
+		// stream: load-balance splitting on/off, compression on/off.
+		bcfg := block.Config{Side: 1 + int(data[0])%16, MaxLoadFactor: 2}
+		if len(data) > 1 {
+			bcfg.MaxLoadFactor = float64(data[1] & 3)
+			bcfg.DisableCompression = data[1]&4 != 0
+		}
+		p, err := block.NewPartition(fd.RegPtr, fd.RegIdx, fd.NumRegular, bcfg)
 		if err != nil {
 			t.Fatalf("NewPartition: %v", err)
 		}

@@ -108,7 +108,7 @@ func assemble(path string, data []byte, mapped bool, o Options) (*File, error) {
 		return nil, fmt.Errorf("partio: %s: bad magic %#08x: not a .mixp file", path, h.magic)
 	}
 	if h.version != Version {
-		return nil, fmt.Errorf("partio: %s: format version %d, this build reads version %d — rebuild the partition with the matching mixenconvert", path, h.version, Version)
+		return nil, fmt.Errorf("partio: %s: format version %d, this build reads only version %d; files are used in place, not converted — rebuild it from the graph with `mixenconvert -partition`", path, h.version, Version)
 	}
 	if h.arch != ArchLE64 {
 		return nil, fmt.Errorf("partio: %s: architecture word %d not supported (want %d: little-endian/64-bit layouts)", path, h.arch, ArchLE64)
@@ -228,11 +228,7 @@ func assemble(path string, data []byte, mapped bool, o Options) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	dstStart, err := viewReq[int32](path, data, secs, secDstStart, uint64(m.CompressedEntries)+uint64(m.NumBlocks))
-	if err != nil {
-		return nil, err
-	}
-	dstIdx, err := viewReq[graph.Node](path, data, secs, secDstIdx, uint64(m.Nnz))
+	dst, err := viewReq[uint32](path, data, secs, secDst, uint64(m.Nnz))
 	if err != nil {
 		return nil, err
 	}
@@ -288,8 +284,7 @@ func assemble(path string, data []byte, mapped bool, o Options) (*File, error) {
 		SrcOff:      srcOff,
 		DstOff:      dstOff,
 		Srcs:        srcs,
-		DstStart:    dstStart,
-		DstIdx:      dstIdx,
+		Dst:         dst,
 		SrcEntryPtr: srcEntryPtr,
 		SrcEntryIdx: srcEntryIdx,
 		SrcEntryCol: srcEntryCol,

@@ -118,8 +118,7 @@ func Write(path string, f *filter.Filtered, p *block.Partition, outDeg []float64
 	raw(secBlkSrcOff, int64(nb+1), bytesOf(fl.SrcOff))
 	raw(secBlkDstOff, int64(nb+1), bytesOf(fl.DstOff))
 	perBlock(secSrcs, ce, ce*4, func(sb *block.SubBlock) []byte { return bytesOf(sb.Srcs) })
-	perBlock(secDstStart, ce+int64(nb), (ce+int64(nb))*4, func(sb *block.SubBlock) []byte { return bytesOf(sb.DstStart) })
-	perBlock(secDstIdx, p.Nnz, p.Nnz*4, func(sb *block.SubBlock) []byte { return bytesOf(sb.DstIdx) })
+	perBlock(secDst, p.Nnz, p.Nnz*4, func(sb *block.SubBlock) []byte { return bytesOf(sb.Dst) })
 	raw(secSrcEntryPtr, int64(len(p.SrcEntryPtr)), bytesOf(p.SrcEntryPtr))
 	if p.SrcEntryIdx != nil {
 		raw(secSrcEntryIdx, int64(len(p.SrcEntryIdx)), bytesOf(p.SrcEntryIdx))

@@ -188,7 +188,7 @@ func (a *arena) alloc(bytes int64) uint64 {
 
 // replaySCGA drives the dense width-1 Main-Phase address stream of p —
 // Scatter (read srcs + x, write vals), Cache (read sta, write y), Gather
-// (read vals + dstStart + dstIdx, read-modify-write y) — through h for
+// (read vals + the flagged dst stream, read-modify-write y) — through h for
 // iters iterations with persistent cache state and x/y role swap, exactly
 // the reference stream the engine's dense path issues. Addresses only; no
 // values are computed, which is what lets the prediction run without a
@@ -197,13 +197,11 @@ func replaySCGA(p *block.Partition, h *memmodel.Hierarchy, iters int) {
 	a := newArena()
 	nb := len(p.Blocks)
 	srcsBase := make([]uint64, nb)
-	dstStartBase := make([]uint64, nb)
-	dstIdxBase := make([]uint64, nb)
+	dstBase := make([]uint64, nb)
 	valsBase := make([]uint64, nb)
 	for i, sb := range p.Blocks {
 		srcsBase[i] = a.alloc(int64(len(sb.Srcs)) * szU)
-		dstStartBase[i] = a.alloc(int64(len(sb.DstStart)) * szU)
-		dstIdxBase[i] = a.alloc(int64(len(sb.DstIdx)) * szU)
+		dstBase[i] = a.alloc(int64(len(sb.Dst)) * szU)
 		valsBase[i] = a.alloc(int64(len(sb.Srcs)) * szF)
 	}
 	baseA := a.alloc(int64(p.R) * szF)
@@ -229,15 +227,16 @@ func replaySCGA(p *block.Partition, h *memmodel.Hierarchy, iters int) {
 		for j := 0; j < p.B; j++ {
 			for _, sb := range p.Cols[j] {
 				i := index[sb]
-				for k := range sb.Srcs {
-					h.Read(valsBase[i]+uint64(k)*szF, szF)
-					h.Read(dstStartBase[i]+uint64(k)*szU, 2*szU)
-					for e := sb.DstStart[k]; e < sb.DstStart[k+1]; e++ {
-						d := sb.DstIdx[e]
-						h.Read(dstIdxBase[i]+uint64(e)*szU, szU)
-						h.Read(baseY+uint64(d)*szF, szF)
-						h.Write(baseY+uint64(d)*szF, szF)
+				k := -1
+				for e, d := range sb.Dst {
+					h.Read(dstBase[i]+uint64(e)*szU, szU)
+					if d&block.RunStart != 0 {
+						k++
+						h.Read(valsBase[i]+uint64(k)*szF, szF)
 					}
+					y := baseY + uint64(d&block.DstMask)*szF
+					h.Read(y, szF)
+					h.Write(y, szF)
 				}
 			}
 		}

@@ -223,7 +223,9 @@ type Workspace = core.Workspace
 // New preprocesses g with Mixen's filtering and blocking. Setting
 // Config.Shards > 1 builds the engine sharded (see BuildSharded) while
 // keeping the *MixenEngine return type, so serving paths opt into sharding
-// by configuration alone.
+// by configuration alone. The blocked layout keeps destination ids in 31
+// bits, so New returns an error for a graph with more than 2³¹ regular
+// nodes.
 func New(g *Graph, cfg Config) (*MixenEngine, error) { return core.New(g, cfg) }
 
 // ShardedMixenEngine is a MixenEngine whose regular submatrix is split

@@ -65,6 +65,11 @@ type MappedEngine struct {
 // Run-time Config knobs (Threads, SparseDensity, Trace, Collector, the
 // Disable* toggles) apply; build-time ones (Side, Reorder, AutoTune,
 // Shards) are baked into the file and rejected if they conflict.
+//
+// Files are used in place, never converted: one written in an older format
+// version (before version 2's flag-delimited destination streams) is
+// refused with an error naming the way out — rebuild it from the graph
+// with `mixenconvert -partition`.
 func OpenPartition(path string, cfg Config, opts ...PartitionOpenOptions) (*MappedEngine, error) {
 	pf, err := partio.Open(path, opts...)
 	if err != nil {
