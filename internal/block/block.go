@@ -10,8 +10,12 @@
 package block
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"time"
 
 	"mixen/internal/graph"
 	"mixen/internal/obs"
@@ -82,7 +86,9 @@ type Config struct {
 	DisableCompression bool
 	Threads            int
 	// Collector receives partitioning telemetry: blocks built, splits
-	// performed, compression ratio. Nil means the no-op collector.
+	// performed, compression ratio, and the build's pass timings
+	// (block.count_ns, block.fill_ns, block.index_ns). Nil means the no-op
+	// collector.
 	Collector obs.Collector
 }
 
@@ -191,52 +197,43 @@ func NewPartition(ptr []int64, idx []graph.Node, r int, cfg Config) (*Partition,
 	p.Rows = make([][]*SubBlock, p.B)
 	p.Cols = make([][]*SubBlock, p.B)
 
-	meanPerBlock := float64(p.Nnz) / float64(p.B*p.B)
-	maxEdges := int64(0)
-	if cfg.MaxLoadFactor > 0 {
-		maxEdges = int64(cfg.MaxLoadFactor * meanPerBlock)
-		if maxEdges < 1 {
-			maxEdges = 1
+	// Count, lay out, fill: a parallel pass per block-row sizes every future
+	// sub-block, a serial prefix over those sizes fixes each one's place in
+	// the two arenas, and a second parallel pass writes every source and
+	// destination exactly once, in place.
+	t0 := time.Now()
+	bd := newBuild(ptr, idx, r, cfg, p.Nnz)
+	bd.count()
+	var order []*piece
+	for i := range bd.rows {
+		for k := range bd.rows[i] {
+			order = append(order, &bd.rows[i][k])
 		}
 	}
+	t1 := time.Now()
+	blocks := bd.fill(order)
+	t2 := time.Now()
 
-	// Build each block-row independently in parallel: scan its source rows
-	// once, splitting each sorted adjacency row into per-column-block runs.
-	// Chunking is weighted by each block-row's edge count, so a skewed grid
-	// (hub-heavy rows next to near-empty ones) still load-balances.
-	rowWeight := make([]int64, p.B+1)
-	for i := 0; i < p.B; i++ {
-		hi := (i + 1) * cfg.Side
-		if hi > r {
-			hi = r
-		}
-		rowWeight[i+1] = rowWeight[i] + (ptr[hi] - ptr[i*cfg.Side])
-	}
-	sched.ForWeighted(rowWeight, cfg.Threads, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p.Rows[i] = buildBlockRow(ptr, idx, r, i, cfg, maxEdges)
-		}
-	})
-
-	for _, row := range p.Rows {
-		lastCol := -1
-		for _, sb := range row {
-			sb.EntryOff = p.CompressedEntries
-			p.Blocks = append(p.Blocks, sb)
-			p.CompressedEntries += int64(len(sb.Srcs))
-			// Blocks in a row are column-ordered, so repeats of the same
-			// column index are the extra pieces splitting produced.
-			if sb.BlockCol == lastCol {
-				p.Splits++
-			}
-			lastCol = sb.BlockCol
-		}
-	}
-	for _, sb := range p.Blocks {
+	p.Blocks = make([]*SubBlock, len(blocks))
+	lastRow, lastCol := -1, -1
+	for k := range blocks {
+		sb := &blocks[k]
+		p.Blocks[k] = sb
+		p.Rows[sb.BlockRow] = append(p.Rows[sb.BlockRow], sb)
 		p.Cols[sb.BlockCol] = append(p.Cols[sb.BlockCol], sb)
+		// Blocks in a row are column-ordered, so repeats of the same
+		// column index are the extra pieces splitting produced.
+		if sb.BlockRow == lastRow && sb.BlockCol == lastCol {
+			p.Splits++
+		}
+		lastRow, lastCol = sb.BlockRow, sb.BlockCol
 	}
+	p.CompressedEntries = int64(len(bd.srcs))
 	p.buildSourceIndex(cfg.Threads)
 	if col := obs.Default(cfg.Collector); col.Enabled() {
+		col.Histogram("block.count_ns").ObserveDuration(t1.Sub(t0))
+		col.Histogram("block.fill_ns").ObserveDuration(t2.Sub(t1))
+		col.Histogram("block.index_ns").ObserveDuration(time.Since(t2))
 		col.Counter("block.partitions").Inc()
 		col.Gauge("block.side").Set(int64(p.Side))
 		col.Gauge("block.grid").Set(int64(p.B))
@@ -266,11 +263,13 @@ func (p *Partition) buildSourceIndex(threads int) {
 		p.ColEdges[sb.BlockCol] += sb.NumEdges()
 	}
 	p.SrcEntryPtr = make([]int64, r+1)
-	for _, sb := range p.Blocks {
-		for _, s := range sb.Srcs {
-			p.SrcEntryPtr[s+1]++
+	sched.For(p.B, threads, 1, func(i int) {
+		for _, sb := range p.Rows[i] {
+			for _, s := range sb.Srcs {
+				p.SrcEntryPtr[s+1]++
+			}
 		}
-	}
+	})
 	for u := 0; u < r; u++ {
 		p.SrcEntryPtr[u+1] += p.SrcEntryPtr[u]
 	}
@@ -296,101 +295,200 @@ func (p *Partition) buildSourceIndex(threads int) {
 	})
 }
 
-// builder accumulates one (block-row, block-col) cell before splitting.
-type builder struct {
-	srcs []graph.Node
-	dst  []uint32
+// piece is one future sub-block as the count pass sizes it.
+type piece struct {
+	row, col       int
+	srcLo, srcHi   int
+	entries, edges int64
+	srcOff, dstOff int64 // its place in the arenas, set by fill
 }
 
-// add appends source u's run of destinations (all in this cell) to the
-// cell, flagging the run's first element — or, with compression off, every
-// element as a one-edge run of its own entry.
-func (c *builder) add(u graph.Node, run []graph.Node, compress bool) {
-	n := len(c.dst)
-	c.dst = append(c.dst, run...)
-	if compress {
-		c.srcs = append(c.srcs, u)
-		c.dst[n] |= RunStart
-		return
-	}
-	for e := range run {
-		c.srcs = append(c.srcs, u)
-		c.dst[n+e] |= RunStart
-	}
+// build is the two-pass construction NewPartition and the sharded cut build
+// share. Adjacency rows ascend, so a row meets each block-column as one
+// contiguous run; a run is one bin entry, or one entry per edge with
+// compression off. Both passes stream the same runs in the same order, so
+// what count sizes is exactly what fill writes.
+type build struct {
+	ptr      []int64
+	idx      []graph.Node
+	r, side  int
+	shift    int // log2(side) when side is a power of two, else -1
+	b        int
+	compress bool
+	threads  int
+	// maxEdges caps a sub-block's edges (0: no cap): a cell is cut before
+	// the run that would push a non-empty piece past it. A single run is
+	// never divided, so one hub source can still exceed the cap by itself.
+	maxEdges int64
+	// shardOf, when set, keeps only the runs whose block-column belongs to
+	// another shard than their block-row (the sharded build's cut cells).
+	shardOf []int32
+
+	weight []int64   // per-block-row edge prefix balancing both passes
+	rows   [][]piece // per block-row: its pieces, column-ordered, a cell's pieces adjacent
+	srcs   []graph.Node
+	dst    []uint32
 }
 
-func buildBlockRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges int64) []*SubBlock {
-	side := cfg.Side
-	lo := i * side
-	hi := lo + side
-	if hi > r {
-		hi = r
+func newBuild(ptr []int64, idx []graph.Node, r int, cfg Config, nnz int64) *build {
+	bd := &build{
+		ptr: ptr, idx: idx, r: r, side: cfg.Side,
+		b:        (r + cfg.Side - 1) / cfg.Side,
+		compress: !cfg.DisableCompression,
+		threads:  cfg.Threads,
+		shift:    -1,
 	}
-	b := (r + side - 1) / side
-	cells := make([]builder, b)
-	for u := lo; u < hi; u++ {
-		row := idx[ptr[u]:ptr[u+1]]
-		// The row is sorted, so each destination block is one contiguous run.
+	if cfg.Side&(cfg.Side-1) == 0 {
+		bd.shift = bits.TrailingZeros(uint(cfg.Side))
+	}
+	if cfg.MaxLoadFactor > 0 {
+		// A multiple of the mean edges per block of the whole submatrix.
+		mean := float64(nnz) / float64(bd.b*bd.b)
+		bd.maxEdges = max(1, int64(cfg.MaxLoadFactor*mean))
+	}
+	bd.weight = make([]int64, bd.b+1)
+	for i := 0; i < bd.b; i++ {
+		bd.weight[i+1] = bd.weight[i] + ptr[min((i+1)*bd.side, r)] - ptr[i*bd.side]
+	}
+	return bd
+}
+
+// col returns the block-column of destination d. Every side the engine
+// picks is a power of two, and the shift saves a division per run.
+func (bd *build) col(d graph.Node) int {
+	if bd.shift >= 0 {
+		return int(d >> bd.shift)
+	}
+	return int(d) / bd.side
+}
+
+// runs calls visit(u, j, run) for every kept run of block-row i: the
+// destinations of source u that fall in block-column j.
+func (bd *build) runs(i int, visit func(u, j int, run []graph.Node)) {
+	side := bd.side
+	for u := i * side; u < min((i+1)*side, bd.r); u++ {
+		row := bd.idx[bd.ptr[u]:bd.ptr[u+1]]
 		for k := 0; k < len(row); {
-			j := int(row[k]) / side
+			j := bd.col(row[k])
+			limit := (j + 1) * side
 			end := k + 1
-			for end < len(row) && int(row[end])/side == j {
+			for end < len(row) && int(row[end]) < limit {
 				end++
 			}
-			cells[j].add(graph.Node(u), row[k:end], !cfg.DisableCompression)
+			if bd.shardOf == nil || bd.shardOf[j] != bd.shardOf[i] {
+				visit(u, j, row[k:end])
+			}
 			k = end
 		}
 	}
-	var out []*SubBlock
-	for j := range cells {
-		c := &cells[j]
-		if len(c.srcs) == 0 {
-			continue
-		}
-		out = append(out, splitCell(c, i, j, lo, hi, maxEdges)...)
-	}
-	return out
 }
 
-// splitCell turns one cell into one or more SubBlocks, each holding at most
-// maxEdges edges (source-aligned split; a single source's run is never
-// divided, so a pathological hub row can still exceed the cap by itself).
-func splitCell(c *builder, i, j, lo, hi int, maxEdges int64) []*SubBlock {
-	total := len(c.dst)
-	if maxEdges == 0 || int64(total) <= maxEdges {
-		sb := &SubBlock{
-			BlockRow: i, BlockCol: j,
-			SrcLo: lo, SrcHi: hi,
-			Srcs: c.srcs, Dst: c.dst,
+// count sizes every piece of every block-row.
+func (bd *build) count() {
+	bd.rows = make([][]piece, bd.b)
+	sched.ForWeighted(bd.weight, bd.threads, 0, func(lo, hi int) {
+		open := make([]int, bd.b) // per column: 1 + index of the piece being filled
+		for i := lo; i < hi; i++ {
+			bd.rows[i] = bd.countRow(i, open)
 		}
-		return []*SubBlock{sb}
-	}
-	var out []*SubBlock
-	emit := func(sLo, sHi, dLo, dHi int) {
-		srcs := c.srcs[sLo:sHi]
-		out = append(out, &SubBlock{
-			BlockRow: i, BlockCol: j,
-			SrcLo: int(srcs[0]), SrcHi: int(srcs[len(srcs)-1]) + 1,
-			Srcs: srcs, Dst: c.dst[dLo:dHi],
-		})
-	}
-	// One pass over the stream: [runLo, pos) is source k's run each time pos
-	// reaches a flag (or the end); a piece is cut before the run that would
-	// push it past maxEdges. Pieces are subslices — the flags travel along.
-	start, dLo := 0, 0 // first source and first edge of the open piece
-	k, runLo := 0, 0
-	for pos := 1; pos <= total; pos++ {
-		if pos < total && c.dst[pos]&RunStart == 0 {
-			continue
+	})
+}
+
+func (bd *build) countRow(i int, open []int) []piece {
+	var pieces []piece
+	bd.runs(i, func(u, j int, run []graph.Node) {
+		entries, per := 1, int64(len(run))
+		if !bd.compress {
+			entries, per = len(run), 1
 		}
-		if k > start && int64(pos-dLo) > maxEdges {
-			emit(start, k, dLo, runLo)
-			start, dLo = k, runLo
+		for ; entries > 0; entries-- {
+			at := open[j]
+			if at == 0 || bd.maxEdges > 0 && pieces[at-1].edges+per > bd.maxEdges {
+				pieces = append(pieces, piece{row: i, col: j, srcLo: u})
+				at = len(pieces)
+				open[j] = at
+			}
+			pc := &pieces[at-1]
+			pc.entries++
+			pc.edges += per
+			pc.srcHi = u + 1
 		}
-		k, runLo = k+1, pos
+	})
+	// Pieces were opened in source order; a stable sort by column gives the
+	// Blocks order. A cell that needed no cutting covers the whole block-row.
+	slices.SortStableFunc(pieces, func(a, b piece) int { return cmp.Compare(a.col, b.col) })
+	for k := range pieces {
+		pc := &pieces[k]
+		open[pc.col] = 0
+		alone := (k == 0 || pieces[k-1].col != pc.col) && (k+1 == len(pieces) || pieces[k+1].col != pc.col)
+		if alone && (bd.maxEdges == 0 || pc.edges <= bd.maxEdges) {
+			pc.srcLo, pc.srcHi = i*bd.side, min((i+1)*bd.side, bd.r)
+		}
 	}
-	emit(start, len(c.srcs), dLo, total)
-	return out
+	return pieces
+}
+
+// fill places the pieces in the given order — any order that keeps a
+// cell's pieces adjacent — in ONE Srcs and ONE Dst arena of exact size,
+// writes them, and returns their sub-blocks (EntryOff = offset in the Srcs
+// arena). Every sub-block's slices are cap-limited windows of the arenas:
+// the layout Flat describes, and an append can never reach a neighbour.
+func (bd *build) fill(order []*piece) []SubBlock {
+	var entries, edges int64
+	for _, pc := range order {
+		pc.srcOff, pc.dstOff = entries, edges
+		entries += pc.entries
+		edges += pc.edges
+	}
+	bd.srcs = make([]graph.Node, entries)
+	bd.dst = make([]uint32, edges)
+	blocks := make([]SubBlock, len(order))
+	for k, pc := range order {
+		sHi, dHi := pc.srcOff+pc.entries, pc.dstOff+pc.edges
+		blocks[k] = SubBlock{
+			BlockRow: pc.row, BlockCol: pc.col,
+			SrcLo: pc.srcLo, SrcHi: pc.srcHi,
+			Srcs:     bd.srcs[pc.srcOff:sHi:sHi],
+			Dst:      bd.dst[pc.dstOff:dHi:dHi],
+			EntryOff: pc.srcOff,
+		}
+	}
+	sched.ForWeighted(bd.weight, bd.threads, 0, func(lo, hi int) {
+		srcAt, dstAt := make([]int64, bd.b), make([]int64, bd.b) // per column: write cursors
+		for i := lo; i < hi; i++ {
+			bd.fillRow(i, srcAt, dstAt)
+		}
+	})
+	return blocks
+}
+
+func (bd *build) fillRow(i int, srcAt, dstAt []int64) {
+	// A cell's pieces are adjacent in both arenas, so one cursor pair per
+	// cell, started at its first piece, writes all of them.
+	for k, pc := range bd.rows[i] {
+		if k == 0 || bd.rows[i][k-1].col != pc.col {
+			srcAt[pc.col], dstAt[pc.col] = pc.srcOff, pc.dstOff
+		}
+	}
+	srcs, dst := bd.srcs, bd.dst
+	bd.runs(i, func(u, j int, run []graph.Node) {
+		s, d := srcAt[j], dstAt[j]
+		if bd.compress {
+			srcs[s] = graph.Node(u)
+			s++
+			dst[d] = run[0] | RunStart
+			copy(dst[d+1:], run[1:])
+			d += int64(len(run))
+		} else {
+			for _, v := range run {
+				srcs[s] = graph.Node(u)
+				s++
+				dst[d] = v | RunStart
+				d++
+			}
+		}
+		srcAt[j], dstAt[j] = s, d
+	})
 }
 
 // Validate checks partition invariants (tests only).

@@ -57,8 +57,11 @@ type FlatBlock struct {
 // Flatten returns the flat view of p. The Heads/SrcOff/DstOff arrays are
 // freshly built (they are derived metadata); Srcs/Dst are NOT
 // copied here — callers that need the concatenated arrays stream them
-// block-by-block in Blocks order (each block's slices are separate
-// allocations in a built partition), which is what the partio writer does.
+// block-by-block in Blocks order, which is what the partio writer does.
+// (NewPartition already lays the blocks out as adjacent windows of one Srcs
+// and one Dst arena, i.e. in this very layout; a sharded Exec partition
+// draws its blocks from several such arenas, so streaming stays the one
+// way that serves both.)
 func (p *Partition) Flatten() Flat {
 	nb := len(p.Blocks)
 	fl := Flat{

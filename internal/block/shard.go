@@ -6,7 +6,6 @@ import (
 
 	"mixen/internal/graph"
 	"mixen/internal/obs"
-	"mixen/internal/sched"
 )
 
 // Sharding splits an r×r submatrix into S contiguous node ranges ("shards"),
@@ -229,21 +228,10 @@ func NewSharding(ptr []int64, idx []graph.Node, r, shards int, cfg Config) (*Sha
 		}
 	}
 
-	// maxEdges for cut-cell splitting matches the single-partition build
-	// (global mean), keeping split granularity comparable.
-	var maxEdges int64
-	if cfg.MaxLoadFactor > 0 && b > 0 {
-		mean := float64(sh.Nnz) / float64(b*b)
-		maxEdges = int64(cfg.MaxLoadFactor * mean)
-		if maxEdges < 1 {
-			maxEdges = 1
-		}
-	}
-
 	if err := sh.buildLocal(ptr, idx, cfg); err != nil {
 		return nil, err
 	}
-	sh.buildCut(ptr, idx, cfg, maxEdges)
+	sh.buildCut(ptr, idx, cfg)
 	sh.assembleExec(cfg)
 	if col := obs.Default(cfg.Collector); col.Enabled() {
 		col.Counter("block.shardings").Inc()
@@ -307,19 +295,13 @@ func (sh *Sharding) buildLocal(ptr []int64, idx []graph.Node, cfg Config) error 
 
 // buildCut extracts every cross-shard edge into outbox blocks: one cell per
 // (global block-row, global block-col) pair whose row and column belong to
-// different shards, split exactly like local cells. The final Cut order is
-// (srcShard, dstShard, row, col, piece) so each s→t outbox occupies one
-// contiguous run of blocks (and, after assembleExec, of bin entries).
-func (sh *Sharding) buildCut(ptr []int64, idx []graph.Node, cfg Config, maxEdges int64) {
+// different shards, built and split by the same two passes as local cells
+// (the cap is the same multiple of the GLOBAL mean, keeping split
+// granularity comparable). The final Cut order is (srcShard, dstShard, row,
+// col, piece) so each s→t outbox occupies one contiguous run of blocks
+// (and, after assembleExec, of bin entries).
+func (sh *Sharding) buildCut(ptr []int64, idx []graph.Node, cfg Config) {
 	b := sh.B
-	side := sh.Side
-	cutRows := make([][]*SubBlock, b)
-	sched.ForWeighted(rowPrefix(ptr, sh.R, side, b), cfg.Threads, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cutRows[i] = sh.buildCutRow(ptr, idx, i, cfg, maxEdges)
-		}
-	})
-
 	sh.CutRowEntries = make([]int64, b)
 	sh.CutRowEdges = make([]int64, b)
 	sh.CutColEdges = make([]int64, b)
@@ -332,95 +314,51 @@ func (sh *Sharding) buildCut(ptr []int64, idx []graph.Node, cfg Config, maxEdges
 		sh.OutboxEdges[t] = make([]int64, sh.S)
 		sh.OutboxOff[t] = make([]int64, sh.S)
 	}
-	// Assemble in (srcShard, dstShard, row, col) order. Rows of one shard
+	if b == 0 {
+		return
+	}
+	bd := newBuild(ptr, idx, sh.R, cfg, sh.Nnz)
+	bd.shardOf = sh.BlockShard
+	bd.count()
+
+	// Order the pieces (srcShard, dstShard, row, col). Rows of one shard
 	// are contiguous, and BlockShard is monotone over columns, so a single
 	// (s, t) sweep over the shard's rows picking cells in t's column range
 	// yields the outbox order.
+	var order []*piece
 	for s := 0; s < sh.S; s++ {
 		for t := 0; t < sh.S; t++ {
 			if t == s {
 				continue
 			}
 			for i := sh.LoBlock[s]; i < sh.LoBlock[s+1]; i++ {
-				for _, sb := range cutRows[i] {
-					if int(sh.BlockShard[sb.BlockCol]) != t {
+				for k := range bd.rows[i] {
+					pc := &bd.rows[i][k]
+					if int(sh.BlockShard[pc.col]) != t {
 						continue
 					}
-					sh.Cut = append(sh.Cut, sb)
-					ne := int64(len(sb.Srcs))
-					sh.OutboxEntries[s][t] += ne
-					sh.OutboxEdges[s][t] += sb.NumEdges()
-					sh.CutRowEntries[i] += ne
-					sh.CutRowEdges[i] += sb.NumEdges()
-					sh.CutColEdges[sb.BlockCol] += sb.NumEdges()
-					sh.CutEntries += ne
-					sh.CutEdges += sb.NumEdges()
-					for _, src := range sb.Srcs {
-						sh.CutSrcEntryPtr[src+1]++
-					}
+					order = append(order, pc)
+					sh.OutboxEntries[s][t] += pc.entries
+					sh.OutboxEdges[s][t] += pc.edges
+					sh.CutRowEntries[i] += pc.entries
+					sh.CutRowEdges[i] += pc.edges
+					sh.CutColEdges[pc.col] += pc.edges
 				}
 			}
 		}
 	}
+	blocks := bd.fill(order)
+	sh.Cut = make([]*SubBlock, len(blocks))
+	for k := range blocks {
+		sh.Cut[k] = &blocks[k]
+		for _, src := range blocks[k].Srcs {
+			sh.CutSrcEntryPtr[src+1]++
+		}
+	}
+	sh.CutEntries, sh.CutEdges = int64(len(bd.srcs)), int64(len(bd.dst))
 	for u := 0; u < sh.R; u++ {
 		sh.CutSrcEntryPtr[u+1] += sh.CutSrcEntryPtr[u]
 	}
-}
-
-// buildCutRow builds block-row i's cut cells (columns owned by another
-// shard), mirroring buildBlockRow with the local columns skipped.
-func (sh *Sharding) buildCutRow(ptr []int64, idx []graph.Node, i int, cfg Config, maxEdges int64) []*SubBlock {
-	side := sh.Side
-	s := sh.BlockShard[i]
-	lo := i * side
-	hi := lo + side
-	if hi > sh.R {
-		hi = sh.R
-	}
-	cells := make(map[int]*builder)
-	var touched []int
-	for u := lo; u < hi; u++ {
-		row := idx[ptr[u]:ptr[u+1]]
-		for k := 0; k < len(row); {
-			j := int(row[k]) / side
-			end := k + 1
-			for end < len(row) && int(row[end])/side == j {
-				end++
-			}
-			if sh.BlockShard[j] == s {
-				k = end
-				continue
-			}
-			c := cells[j]
-			if c == nil {
-				c = &builder{}
-				cells[j] = c
-				touched = append(touched, j)
-			}
-			c.add(graph.Node(u), row[k:end], !cfg.DisableCompression)
-			k = end
-		}
-	}
-	sort.Ints(touched)
-	var out []*SubBlock
-	for _, j := range touched {
-		out = append(out, splitCell(cells[j], i, j, lo, hi, maxEdges)...)
-	}
-	return out
-}
-
-// rowPrefix builds the per-block-row edge-weight prefix used to balance
-// row-parallel passes.
-func rowPrefix(ptr []int64, r, side, b int) []int64 {
-	w := make([]int64, b+1)
-	for i := 0; i < b; i++ {
-		hi := (i + 1) * side
-		if hi > r {
-			hi = r
-		}
-		w[i+1] = w[i] + (ptr[hi] - ptr[i*side])
-	}
-	return w
 }
 
 // assembleExec merges the shard-local partitions and the cut blocks into

@@ -101,6 +101,19 @@ func TestCollectorRecordsEngineRun(t *testing.T) {
 	if s.Counters["filter.runs"] != 1 || s.Counters["block.partitions"] != 1 {
 		t.Errorf("filter/block counters missing: %v", s.Counters)
 	}
+	// The sub-passes that attribute setup time: one sample each per build,
+	// nested inside their layer's total.
+	for _, name := range []string{"filter.count_ns", "filter.fill_ns", "block.count_ns", "block.fill_ns", "block.index_ns"} {
+		if s.Histograms[name].Count != 1 {
+			t.Errorf("%s recorded %d times, want 1", name, s.Histograms[name].Count)
+		}
+	}
+	if sub := s.Histograms["filter.count_ns"].Sum + s.Histograms["filter.fill_ns"].Sum; sub > s.Histograms["filter.extract_ns"].Sum {
+		t.Errorf("filter count+fill %d ns exceed the extraction's %d ns", sub, s.Histograms["filter.extract_ns"].Sum)
+	}
+	if sub := s.Histograms["block.count_ns"].Sum + s.Histograms["block.fill_ns"].Sum + s.Histograms["block.index_ns"].Sum; sub > s.Histograms["core.partition_ns"].Sum {
+		t.Errorf("block count+fill+index %d ns exceed the partition's %d ns", sub, s.Histograms["core.partition_ns"].Sum)
+	}
 	// Phase histograms recorded by RunWithStats; main must be within the
 	// measured stats (same measurement, one sample).
 	if got := s.Histograms["core.main_ns"].Sum; got != stats.MainTime.Nanoseconds() {

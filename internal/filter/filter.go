@@ -16,7 +16,9 @@
 package filter
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"mixen/internal/analyze"
@@ -128,8 +130,9 @@ type Options struct {
 	Order RegularOrder
 	// Collector receives filtering telemetry: per-class node counts
 	// (filter.hubs, filter.regular, ...) and pass timings
-	// (filter.classify_ns, filter.relabel_ns, filter.extract_ns). Nil
-	// means the zero-cost no-op collector.
+	// (filter.classify_ns, filter.relabel_ns, filter.extract_ns and, inside
+	// the extraction, filter.count_ns and filter.fill_ns). Nil means the
+	// zero-cost no-op collector.
 	Collector obs.Collector
 }
 
@@ -139,6 +142,11 @@ type Options struct {
 func Filter(g *graph.Graph) *Filtered {
 	return FilterWithOptions(g, Options{Order: OrderHubFirst})
 }
+
+// classHub stands in Class for "regular and a hub" while FilterWithOptions
+// runs, so one byte per node answers both the relabelling's and the row
+// counts' question; hubs are set back to analyze.Regular before it returns.
+const classHub = analyze.Isolated + 1
 
 // FilterWithOptions is Filter with explicit options.
 func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
@@ -154,47 +162,31 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 	tClassify := time.Now()
 
 	// Pass 1 (parallel): classify and count the five categories.
-	// Category codes: 0 hub-regular, 1 non-hub regular, 2 seed, 3 sink, 4 iso.
-	cat := make([]uint8, n)
-	partial := make([][5]int, sched.DefaultThreads())
+	partial := make([][classHub + 1]int, sched.DefaultThreads())
 	sched.ForStatic(n, 0, func(worker, lo, hi int) {
-		var counts [5]int
+		var counts [classHub + 1]int
 		for v := lo; v < hi; v++ {
 			in := g.InDegree(graph.Node(v))
-			out := g.OutDegree(graph.Node(v))
-			cl := analyze.ClassOf(in, out)
-			f.Class[v] = cl
-			c := uint8(0)
-			switch cl {
-			case analyze.Regular:
-				if opts.Order == OrderHubFirst && float64(in) > threshold {
-					c = 0
-				} else {
-					c = 1
-				}
-			case analyze.Seed:
-				c = 2
-			case analyze.Sink:
-				c = 3
-			case analyze.Isolated:
-				c = 4
+			cl := analyze.ClassOf(in, g.OutDegree(graph.Node(v)))
+			if cl == analyze.Regular && opts.Order == OrderHubFirst && float64(in) > threshold {
+				cl = classHub
 			}
-			cat[v] = c
-			counts[c]++
+			f.Class[v] = cl
+			counts[cl]++
 		}
 		partial[worker] = counts
 	})
-	var counts [5]int
+	var counts [classHub + 1]int
 	for _, p := range partial {
 		for i := range counts {
 			counts[i] += p[i]
 		}
 	}
-	f.NumHub = counts[0]
-	f.NumRegular = counts[0] + counts[1]
-	f.NumSeed = counts[2]
-	f.NumSink = counts[3]
-	f.NumIsolated = counts[4]
+	f.NumHub = counts[classHub]
+	f.NumRegular = counts[classHub] + counts[analyze.Regular]
+	f.NumSeed = counts[analyze.Seed]
+	f.NumSink = counts[analyze.Sink]
+	f.NumIsolated = counts[analyze.Isolated]
 	col.Histogram("filter.classify_ns").ObserveDuration(time.Since(tClassify))
 	col.Gauge("filter.hubs").Set(int64(f.NumHub))
 	col.Gauge("filter.regular").Set(int64(f.NumRegular))
@@ -205,15 +197,15 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 	// Pass 2 (sequential scan for stability): assign new ids in original
 	// order within each category.
 	tRelabel := time.Now()
-	var offsets [5]int
-	offsets[0] = 0
-	offsets[1] = counts[0]
-	offsets[2] = f.NumRegular
-	offsets[3] = f.NumRegular + f.NumSeed
-	offsets[4] = f.NumRegular + f.NumSeed + f.NumSink
+	var offsets [classHub + 1]int
+	offsets[classHub] = 0
+	offsets[analyze.Regular] = f.NumHub
+	offsets[analyze.Seed] = f.SeedBound()
+	offsets[analyze.Sink] = f.SinkBound()
+	offsets[analyze.Isolated] = f.IsolatedBound()
 	for v := 0; v < n; v++ {
-		id := graph.Node(offsets[cat[v]])
-		offsets[cat[v]]++
+		id := graph.Node(offsets[f.Class[v]])
+		offsets[f.Class[v]]++
 		f.NewID[v] = id
 		f.OldID[id] = graph.Node(v)
 	}
@@ -223,10 +215,18 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 	}
 	col.Histogram("filter.relabel_ns").ObserveDuration(time.Since(tRelabel))
 
+	// Pass 3: the mixed representation. Regular and seed rows keep their
+	// regular out-neighbours, sink columns all their in-neighbours.
 	tExtract := time.Now()
-	f.extractRegularCSR()
-	f.extractSeedCSR()
-	f.extractSinkCSC()
+	x := extractor{f: f, sorted: opts.Order != OrderDegreeDesc}
+	f.RegPtr, f.RegIdx = x.extract(0, f.NumRegular, g.OutPtr, g.OutIdx)
+	f.SeedPtr, f.SeedIdx = x.extract(f.SeedBound(), f.NumSeed, g.OutPtr, g.OutIdx)
+	f.SinkPtr, f.SinkIdx = x.extract(f.SinkBound(), f.NumSink, g.InPtr, g.InIdx)
+	for _, old := range f.OldID[:f.NumHub] {
+		f.Class[old] = analyze.Regular
+	}
+	col.Histogram("filter.count_ns").ObserveDuration(x.count)
+	col.Histogram("filter.fill_ns").ObserveDuration(x.fill)
 	col.Histogram("filter.extract_ns").ObserveDuration(time.Since(tExtract))
 	col.Counter("filter.runs").Inc()
 	col.Counter("filter.nodes").Add(int64(n))
@@ -235,218 +235,100 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 }
 
 // sortRegularByInDegree rearranges the regular range [0, NumRegular) into
-// descending in-degree order (ties broken by original id, keeping the sort
-// stable), implementing the OrderDegreeDesc policy.
+// descending in-degree order (ties broken by original id), implementing the
+// OrderDegreeDesc policy.
 func (f *Filtered) sortRegularByInDegree() {
-	r := f.NumRegular
-	olds := make([]graph.Node, r)
-	copy(olds, f.OldID[:r])
 	g := f.G
-	sortStableByDegree(olds, g)
+	olds := f.OldID[:f.NumRegular]
+	slices.SortFunc(olds, func(a, b graph.Node) int {
+		if c := cmp.Compare(g.InDegree(b), g.InDegree(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	for newID, old := range olds {
-		f.OldID[newID] = old
 		f.NewID[old] = graph.Node(newID)
 	}
 }
 
-func sortStableByDegree(olds []graph.Node, g *graph.Graph) {
-	// Simple merge sort keyed on (−in-degree, id); stdlib sort.SliceStable
-	// would allocate a closure per comparison anyway, so keep it direct.
-	less := func(a, b graph.Node) bool {
-		da, db := g.InDegree(a), g.InDegree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	}
-	var sortRange func(a []graph.Node, buf []graph.Node)
-	sortRange = func(a, buf []graph.Node) {
-		if len(a) < 2 {
-			return
-		}
-		mid := len(a) / 2
-		sortRange(a[:mid], buf[:mid])
-		sortRange(a[mid:], buf[mid:])
-		copy(buf, a)
-		i, j, k := 0, mid, 0
-		for i < mid && j < len(a) {
-			if less(buf[j], buf[i]) {
-				a[k] = buf[j]
-				j++
-			} else {
-				a[k] = buf[i]
-				i++
-			}
-			k++
-		}
-		for i < mid {
-			a[k] = buf[i]
-			i++
-			k++
-		}
-	}
-	sortRange(olds, make([]graph.Node, len(olds)))
+// extractor builds the three structures of the mixed representation, all
+// the same way: row i of a structure lists the new ids of the regular and
+// seed neighbours of node base+i, ascending. (An out-neighbour is never a
+// seed and an in-neighbour never a sink, so that one rule yields regular
+// destinations for the regular and seed rows and every source for the sink
+// columns.)
+//
+// No row is sorted. A graph row ascends in original ids and the relabelling
+// is monotone inside each of the hub, non-hub and seed classes, whose id
+// ranges follow one another — so the relabelled row is a stable three-way
+// partition of the original one. The count pass sizes the three parts from
+// one class byte per neighbour; the fill pass writes each neighbour's new id
+// at its part's cursor, telling the parts apart by the id it has just read.
+// Only OrderDegreeDesc, whose regular ids are not monotone, sorts the
+// regular part afterwards (sorted == false).
+type extractor struct {
+	f           *Filtered
+	sorted      bool
+	count, fill time.Duration // summed over the structures built
 }
 
-// extractRegularCSR builds the regular×regular CSR in new-id space.
-func (f *Filtered) extractRegularCSR() {
-	r := f.NumRegular
-	g := f.G
-	f.RegPtr = make([]int64, r+1)
-	// Count regular out-neighbours per regular row.
-	sched.For(r, 0, 64, func(newU int) {
-		oldU := f.OldID[newU]
-		var c int64
-		for _, v := range g.OutNeighbors(oldU) {
-			if f.Class[v] == analyze.Regular {
-				c++
+func (x *extractor) extract(base, rows int, adjPtr []int64, adjIdx []graph.Node) ([]int64, []graph.Node) {
+	f := x.f
+	olds, class, newID := f.OldID[base:base+rows], f.Class, f.NewID
+	t0 := time.Now()
+	ptr := make([]int64, rows+1)
+	cuts := make([][2]int64, rows) // per row: where the non-hubs, then the seeds, start
+	sched.For(rows, 0, 64, func(i int) {
+		u := olds[i]
+		var hubs, regular, seeds int64
+		for _, v := range adjIdx[adjPtr[u]:adjPtr[u+1]] {
+			// Three independent tests compile to conditional moves; a
+			// switch would mispredict on every other neighbour.
+			cl := class[v]
+			if cl == classHub {
+				hubs++
+			}
+			if cl == analyze.Regular {
+				regular++
+			}
+			if cl == analyze.Seed {
+				seeds++
 			}
 		}
-		f.RegPtr[newU+1] = c
+		regular += hubs
+		cuts[i] = [2]int64{hubs, regular}
+		ptr[i+1] = regular + seeds
 	})
-	for i := 0; i < r; i++ {
-		f.RegPtr[i+1] += f.RegPtr[i]
+	for i := 0; i < rows; i++ {
+		ptr[i+1] += ptr[i]
 	}
-	f.RegIdx = make([]graph.Node, f.RegPtr[r])
-	sched.For(r, 0, 64, func(newU int) {
-		oldU := f.OldID[newU]
-		pos := f.RegPtr[newU]
-		for _, v := range g.OutNeighbors(oldU) {
-			if f.Class[v] == analyze.Regular {
-				f.RegIdx[pos] = f.NewID[v]
-				pos++
+	t1 := time.Now()
+	idx := make([]graph.Node, ptr[rows])
+	hubEnd, regEnd, seedEnd := graph.Node(f.NumHub), graph.Node(f.NumRegular), graph.Node(f.SinkBound())
+	sched.For(rows, 0, 64, func(i int) {
+		u := olds[i]
+		row := idx[ptr[i]:ptr[i+1]]
+		hub, reg, seed := int64(0), cuts[i][0], cuts[i][1]
+		for _, v := range adjIdx[adjPtr[u]:adjPtr[u+1]] {
+			switch id := newID[v]; {
+			case id < hubEnd:
+				row[hub] = id
+				hub++
+			case id < regEnd:
+				row[reg] = id
+				reg++
+			case id < seedEnd:
+				row[seed] = id
+				seed++
 			}
 		}
-		sortRow(f.RegIdx[f.RegPtr[newU]:pos])
+		if !x.sorted {
+			slices.Sort(row[:cuts[i][1]])
+		}
 	})
-}
-
-// extractSeedCSR builds seed rows restricted to regular destinations.
-func (f *Filtered) extractSeedCSR() {
-	s := f.NumSeed
-	base := f.NumRegular
-	g := f.G
-	f.SeedPtr = make([]int64, s+1)
-	sched.For(s, 0, 64, func(i int) {
-		oldU := f.OldID[base+i]
-		var c int64
-		for _, v := range g.OutNeighbors(oldU) {
-			if f.Class[v] == analyze.Regular {
-				c++
-			}
-		}
-		f.SeedPtr[i+1] = c
-	})
-	for i := 0; i < s; i++ {
-		f.SeedPtr[i+1] += f.SeedPtr[i]
-	}
-	f.SeedIdx = make([]graph.Node, f.SeedPtr[s])
-	sched.For(s, 0, 64, func(i int) {
-		oldU := f.OldID[base+i]
-		pos := f.SeedPtr[i]
-		for _, v := range g.OutNeighbors(oldU) {
-			if f.Class[v] == analyze.Regular {
-				f.SeedIdx[pos] = f.NewID[v]
-				pos++
-			}
-		}
-		sortRow(f.SeedIdx[f.SeedPtr[i]:pos])
-	})
-}
-
-// extractSinkCSC builds sink columns over all in-neighbours.
-func (f *Filtered) extractSinkCSC() {
-	k := f.NumSink
-	base := f.NumRegular + f.NumSeed
-	g := f.G
-	f.SinkPtr = make([]int64, k+1)
-	sched.For(k, 0, 64, func(i int) {
-		oldV := f.OldID[base+i]
-		f.SinkPtr[i+1] = g.InDegree(oldV)
-	})
-	for i := 0; i < k; i++ {
-		f.SinkPtr[i+1] += f.SinkPtr[i]
-	}
-	f.SinkIdx = make([]graph.Node, f.SinkPtr[k])
-	sched.For(k, 0, 64, func(i int) {
-		oldV := f.OldID[base+i]
-		pos := f.SinkPtr[i]
-		for _, u := range g.InNeighbors(oldV) {
-			f.SinkIdx[pos] = f.NewID[u]
-			pos++
-		}
-		sortRow(f.SinkIdx[f.SinkPtr[i]:pos])
-	})
-}
-
-func sortRow(row []graph.Node) {
-	// insertion sort is fine for typical row lengths; fall back to a simple
-	// quicksort for long hub rows
-	if len(row) > 64 {
-		quickSortNodes(row)
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		v := row[i]
-		j := i - 1
-		for j >= 0 && row[j] > v {
-			row[j+1] = row[j]
-			j--
-		}
-		row[j+1] = v
-	}
-}
-
-func quickSortNodes(a []graph.Node) {
-	for len(a) > 32 {
-		p := partition(a)
-		if p < len(a)-p {
-			quickSortNodes(a[:p])
-			a = a[p+1:]
-		} else {
-			quickSortNodes(a[p+1:])
-			a = a[:p]
-		}
-	}
-	sortRowSmall(a)
-}
-
-func sortRowSmall(row []graph.Node) {
-	for i := 1; i < len(row); i++ {
-		v := row[i]
-		j := i - 1
-		for j >= 0 && row[j] > v {
-			row[j+1] = row[j]
-			j--
-		}
-		row[j+1] = v
-	}
-}
-
-func partition(a []graph.Node) int {
-	mid := len(a) / 2
-	hi := len(a) - 1
-	// median-of-three pivot
-	if a[0] > a[mid] {
-		a[0], a[mid] = a[mid], a[0]
-	}
-	if a[0] > a[hi] {
-		a[0], a[hi] = a[hi], a[0]
-	}
-	if a[mid] > a[hi] {
-		a[mid], a[hi] = a[hi], a[mid]
-	}
-	pivot := a[mid]
-	a[mid], a[hi-1] = a[hi-1], a[mid]
-	i := 0
-	for j := 0; j < hi-1; j++ {
-		if a[j] < pivot {
-			a[i], a[j] = a[j], a[i]
-			i++
-		}
-	}
-	a[i], a[hi-1] = a[hi-1], a[i]
-	return i
+	x.count += t1.Sub(t0)
+	x.fill += time.Since(t1)
+	return ptr, idx
 }
 
 // ToOriginal scatters a value vector indexed by new ids back to original
@@ -504,20 +386,21 @@ func (f *Filtered) Validate() error {
 			return fmt.Errorf("filter: stored %d edges, original has %d", stored, f.G.NumEdges())
 		}
 	}
-	// Regular CSR indices must stay inside the regular range.
-	for _, v := range f.RegIdx {
-		if int(v) >= f.NumRegular {
-			return fmt.Errorf("filter: regular CSR index %d outside regular range %d", v, f.NumRegular)
-		}
-	}
-	for _, v := range f.SeedIdx {
-		if int(v) >= f.NumRegular {
-			return fmt.Errorf("filter: seed CSR index %d outside regular range %d", v, f.NumRegular)
-		}
-	}
-	for _, u := range f.SinkIdx {
-		if int(u) >= f.SinkBound() {
-			return fmt.Errorf("filter: sink CSC index %d is not regular or seed", u)
+	// Indices stay inside their range and every row ascends (multi-edges
+	// allowed): block cuts regular rows into per-column runs, and the
+	// extraction and PermuteRegular produce sorted rows without a final check.
+	for _, part := range []struct {
+		name  string
+		ptr   []int64
+		idx   []graph.Node
+		bound int
+	}{
+		{"regular CSR", f.RegPtr, f.RegIdx, f.NumRegular},
+		{"seed CSR", f.SeedPtr, f.SeedIdx, f.NumRegular},
+		{"sink CSC", f.SinkPtr, f.SinkIdx, f.SinkBound()},
+	} {
+		if err := graph.CheckRows(part.ptr, part.idx, part.bound); err != nil {
+			return fmt.Errorf("filter: %s %w", part.name, err)
 		}
 	}
 	return nil

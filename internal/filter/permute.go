@@ -2,6 +2,7 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 
 	"mixen/internal/graph"
 	"mixen/internal/sched"
@@ -53,8 +54,8 @@ func (f *Filtered) PermuteRegular(perm []graph.Node) error {
 	}
 
 	// Rebuild the regular CSR: new row p is old row inv[p] with its
-	// destinations mapped through perm and re-sorted (buildBlockRow and
-	// Validate both rely on sorted rows).
+	// destinations mapped through perm and re-sorted (a permutation is not
+	// monotone, and block.NewPartition and Validate rely on sorted rows).
 	newPtr := make([]int64, r+1)
 	for p := 0; p < r; p++ {
 		q := inv[p]
@@ -71,7 +72,7 @@ func (f *Filtered) PermuteRegular(perm []graph.Node) error {
 			newIdx[pos] = perm[v]
 			pos++
 		}
-		sortRow(newIdx[newPtr[p]:pos])
+		slices.Sort(newIdx[newPtr[p]:pos])
 	})
 	f.RegPtr, f.RegIdx = newPtr, newIdx
 
@@ -81,18 +82,19 @@ func (f *Filtered) PermuteRegular(perm []graph.Node) error {
 		for k, v := range row {
 			row[k] = perm[v]
 		}
-		sortRow(row)
+		slices.Sort(row)
 	})
 
-	// Sink columns hold regular and seed sources: map only the regular ones.
+	// Sink columns hold regular sources, then seed sources: only the
+	// regular prefix is mapped and re-sorted.
 	sched.For(f.NumSink, 0, 64, func(i int) {
 		col := f.SinkIdx[f.SinkPtr[i]:f.SinkPtr[i+1]]
-		for k, u := range col {
-			if int(u) < r {
-				col[k] = perm[u]
-			}
+		k := 0
+		for k < len(col) && int(col[k]) < r {
+			col[k] = perm[col[k]]
+			k++
 		}
-		sortRow(col)
+		slices.Sort(col[:k])
 	})
 	return nil
 }

@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mixen/internal/sched"
@@ -31,6 +32,9 @@ type Edge struct {
 //   - len(OutPtr) == N+1, OutPtr[0] == 0, OutPtr non-decreasing,
 //     OutPtr[N] == M == len(OutIdx); same for InPtr/InIdx;
 //   - every index value is < N;
+//   - every adjacency row is non-decreasing (multi-edges allowed): HasEdge
+//     binary-searches rows, block cuts them into per-column runs and filter
+//     relabels them as stable partitions, all without re-sorting;
 //   - CSR and CSC describe the same edge multiset.
 type Graph struct {
 	// OutPtr/OutIdx form the CSR: out-neighbours of u are
@@ -186,8 +190,7 @@ func buildCSRSerial(n int, edges []Edge, transposed bool) ([]int64, []Node) {
 // membership tests.
 func sortRows(n int, ptr []int64, idx []Node) {
 	sched.For(n, 0, 64, func(i int) {
-		row := idx[ptr[i]:ptr[i+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(idx[ptr[i]:ptr[i+1]])
 	})
 }
 
@@ -296,9 +299,26 @@ func validateHalf(ptr []int64, idx []Node, kind string) error {
 	if ptr[n] != int64(len(idx)) {
 		return fmt.Errorf("graph: %s ptr[n]=%d != len(idx)=%d", kind, ptr[n], len(idx))
 	}
-	for _, v := range idx {
-		if int(v) >= n {
-			return fmt.Errorf("graph: %s index %d out of range n=%d", kind, v, n)
+	if err := CheckRows(ptr, idx, n); err != nil {
+		return fmt.Errorf("graph: %s %w", kind, err)
+	}
+	return nil
+}
+
+// CheckRows reports the first row of the CSR-shaped (ptr, idx) that holds an
+// index >= bound or is not non-decreasing (multi-edges are allowed). ptr
+// must already be a valid pointer array over idx.
+func CheckRows(ptr []int64, idx []Node, bound int) error {
+	for i := 0; i+1 < len(ptr); i++ {
+		var prev Node
+		for _, v := range idx[ptr[i]:ptr[i+1]] {
+			if int(v) >= bound {
+				return fmt.Errorf("index %d out of range %d", v, bound)
+			}
+			if v < prev {
+				return fmt.Errorf("row %d not ascending (%d after %d)", i, v, prev)
+			}
+			prev = v
 		}
 	}
 	return nil

@@ -88,3 +88,25 @@ func TestReadEdgeListHugeLineRejected(t *testing.T) {
 		t.Fatal("expected scanner error for oversized line")
 	}
 }
+
+// A file whose rows are not ascending must be refused with the row named:
+// HasEdge, block and filter all rely on sorted rows and none re-sorts.
+func TestReadBinaryRejectsDescendingRow(t *testing.T) {
+	g := &Graph{OutPtr: []int64{0, 2, 4, 4, 4}, OutIdx: []Node{1, 3, 2, 0}}
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadBinary(&buf)
+	if err == nil || !strings.Contains(err.Error(), "row 1 not ascending") {
+		t.Fatalf("descending row 1: got %v, want an error naming the row", err)
+	}
+	g.InPtr, g.InIdx = transposeHalf(g.OutPtr, g.OutIdx)
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted a descending row")
+	}
+	// Multi-edges are equal neighbours, not a descent.
+	if _, err := FromCSR([]int64{0, 3, 3}, []Node{1, 1, 1}); err != nil {
+		t.Fatalf("multi-edge row refused: %v", err)
+	}
+}
