@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -389,16 +390,19 @@ func runConcurrent(e mixen.Engine, newProg func() mixen.Program, want []float64,
 // width-k pass instead of k separate runs — cross-checks every demuxed
 // result against the serial reference, and reports throughput.
 func runBatched(e *mixen.MixenEngine, newProg func() mixen.Program, want []float64, k int) {
-	b := mixen.NewBatcher(e, mixen.BatcherConfig{MaxBatch: k, MaxWait: time.Second, Width: newProg().Width()})
+	b := mixen.NewBatcher(e, mixen.BatcherConfig{MaxBatch: k, Width: newProg().Width()})
 	defer b.Close()
-	futs := make([]*mixen.Future, k)
+	progs := make([]mixen.Program, k)
+	for i := range progs {
+		progs[i] = newProg()
+	}
 	t0 := time.Now()
-	for i := range futs {
-		fut, err := b.Submit(newProg())
-		if err != nil {
-			fail(fmt.Errorf("batch submit %d: %w", i, err))
-		}
-		futs[i] = fut
+	// One lane group: the k programs reach the batcher together and leave
+	// as one fused run (submitted one by one, the first would be dispatched
+	// alone and the rest queue behind it).
+	futs, err := b.SubmitAllCtx(context.Background(), progs)
+	if err != nil {
+		fail(fmt.Errorf("batch submit: %w", err))
 	}
 	mismatches, fusedAs := 0, 0
 	for i, fut := range futs {

@@ -147,40 +147,84 @@ func resultSize(res *mixen.Result) int64 {
 	return int64(len(res.Values))*8 + 128
 }
 
-// cachedOne answers one width-1 run through the result cache: a fresh
-// entry is served as-is (bit-identical — it IS a previous engine run's
-// vector), a miss computes through run and populates the cache, and
-// concurrent identical misses collapse onto one run. With the cache
-// disabled it degrades to run directly. Returns the result, the fused
-// batch size (0 on hits), and whether the answer came from cache or a
-// collapsed flight.
-func (s *server) cachedOne(ctx context.Context, cache *servecache.Cache, key string, run func(context.Context) (*mixen.Result, int, error)) (*mixen.Result, int, bool, error) {
+// sourceRun is one answered run plus its serving metadata: the size of
+// the batch it ran in (0 on hits and on runs that bypass the batcher) and
+// whether the answer came from the cache or a collapsed flight instead of
+// a run of the caller's own. The caches store it as the run produced it.
+type sourceRun struct {
+	res    *mixen.Result
+	size   int
+	cached bool
+}
+
+// cachedAll answers the runs of one request through cache, one entry per
+// key: a fresh entry is served as-is (bit-identical — it IS a previous
+// engine run's vector), a key some other request is computing is waited
+// for (singleflight), and the keys left over are computed by ONE call of
+// run — handed their indices, ascending — and populate the cache. With
+// the cache disabled it degrades to run over every key.
+func (s *server) cachedAll(ctx context.Context, cache *servecache.Cache, keys []string, run func(ctx context.Context, idx []int) ([]sourceRun, error)) ([]sourceRun, error) {
 	if cache == nil {
-		res, size, err := run(ctx)
-		return res, size, false, err
+		all := make([]int, len(keys))
+		for i := range all {
+			all[i] = i
+		}
+		return run(ctx, all)
 	}
 	tr := obs.TraceFromContext(ctx)
 	lookupStart := time.Now()
-	type runOut struct {
-		res  *mixen.Result
-		size int
-	}
-	v, outcome, err := cache.GetOrCompute(ctx, key, func(ctx context.Context) (any, int64, error) {
-		res, size, err := run(ctx)
+	vals, outcomes, err := cache.GetOrComputeAll(ctx, keys, func(ctx context.Context, missing []int) ([]any, []int64, error) {
+		runs, err := run(ctx, missing)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
-		return runOut{res, size}, resultSize(res), nil
+		vals, sizes := make([]any, len(runs)), make([]int64, len(runs))
+		for j, r := range runs {
+			vals[j], sizes[j] = r, resultSize(r.res)
+		}
+		return vals, sizes, nil
 	})
 	tr.AddSpan(obs.SpanCache, lookupStart)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
-	ro := v.(runOut)
-	if outcome == servecache.Miss {
-		return ro.res, ro.size, false, nil
+	runs := make([]sourceRun, len(keys))
+	for i, v := range vals {
+		runs[i] = v.(sourceRun)
+		if outcomes[i] != servecache.Miss {
+			// Only the caller that computed the value reports the batch
+			// it ran in.
+			runs[i].size, runs[i].cached = 0, true
+		}
 	}
-	return ro.res, 0, true, nil
+	return runs, nil
+}
+
+// cachedOne is cachedAll for a request that is a single run.
+func (s *server) cachedOne(ctx context.Context, cache *servecache.Cache, key string, run func(context.Context) (sourceRun, error)) (sourceRun, error) {
+	runs, err := s.cachedAll(ctx, cache, []string{key}, func(ctx context.Context, _ []int) ([]sourceRun, error) {
+		r, err := run(ctx)
+		return []sourceRun{r}, err
+	})
+	if err != nil {
+		return sourceRun{}, err
+	}
+	return runs[0], nil
+}
+
+// cachedRuns is cachedAll for the per-source width-1 runs of one request:
+// the sources left over are computed TOGETHER — prog(i) builds the
+// program of keys[i] — so that they reach the batcher as one lane group,
+// and an all-miss request on an idle server is one fused run, exactly
+// like the uncached path.
+func (s *server) cachedRuns(ctx context.Context, st *engineState, cache *servecache.Cache, keys []string, prog func(i int) mixen.Program) ([]sourceRun, error) {
+	return s.cachedAll(ctx, cache, keys, func(ctx context.Context, idx []int) ([]sourceRun, error) {
+		progs := make([]mixen.Program, len(idx))
+		for j, i := range idx {
+			progs[j] = prog(i)
+		}
+		return s.runAll(ctx, st, progs)
+	})
 }
 
 // exactParams builds the canonical key for one exact-mode run.
@@ -198,118 +242,93 @@ func exactParams(algo string, q querySpec, sources []uint32, epoch int64) servec
 	return p
 }
 
-// warmOne returns the coarse-tolerance PPR vector for src, computing
-// and caching it on first use — the per-hot-source warm pass behind
+// warmRuns returns the coarse-tolerance PPR vector of every source of q,
+// computing and caching on first use — the per-hot-source warm pass behind
 // mode=approx and the starting point for mode=refine.
-func (s *server) warmOne(ctx context.Context, st *engineState, q querySpec, src uint32) (*mixen.Result, int, bool, error) {
-	key := servecache.Params{
-		Algo: "ppr", Mode: "warm", Epoch: st.epoch,
-		Damping: q.damping, Tol: s.cfg.approxTol, Iters: q.iters,
-		Sources: []uint32{src},
-	}.Key()
-	return s.cachedOne(ctx, s.warm, key, func(ctx context.Context) (*mixen.Result, int, error) {
-		prog := mixen.NewPersonalizedPageRankProgramShared(st.n, st.deg, src, q.damping, s.cfg.approxTol, q.iters)
-		return s.runOne(ctx, st, prog)
+func (s *server) warmRuns(ctx context.Context, st *engineState, q querySpec) ([]sourceRun, error) {
+	keys := make([]string, len(q.sources))
+	for i, src := range q.sources {
+		keys[i] = servecache.Params{
+			Algo: "ppr", Mode: "warm", Epoch: st.epoch,
+			Damping: q.damping, Tol: s.cfg.approxTol, Iters: q.iters,
+			Sources: []uint32{src},
+		}.Key()
+	}
+	return s.cachedRuns(ctx, st, s.warm, keys, func(i int) mixen.Program {
+		return mixen.NewPersonalizedPageRankProgramShared(st.n, st.deg, q.sources[i], q.damping, s.cfg.approxTol, q.iters)
 	})
 }
 
-// refineOne resumes the warm vector for src at the request's full
-// tolerance: the NodeTol clamp retires nodes the coarse pass already
-// settled, so refinement touches only the unsettled tail. Runs outside
-// the batcher in a pooled workspace, writing into a fresh vector the
-// result cache then owns (core.RunToCtx). The refined entry is cached
-// under mode=refined — never under exact, because a resumed run is not
-// bit-identical to a from-scratch one.
-func (s *server) refineOne(ctx context.Context, st *engineState, q querySpec, src uint32) (*mixen.Result, int, bool, error) {
-	warmRes, _, _, err := s.warmOne(ctx, st, q, src)
-	if err != nil {
-		return nil, 0, false, err
-	}
+// refineOne resumes src's warm vector at the request's full tolerance:
+// the NodeTol clamp retires nodes the coarse pass already settled, so
+// refinement touches only the unsettled tail. Runs outside the batcher in
+// a pooled workspace, writing into a fresh vector the result cache then
+// owns (core.RunToCtx). The refined entry is cached under mode=refined —
+// never under exact, because a resumed run is not bit-identical to a
+// from-scratch one.
+func (s *server) refineOne(ctx context.Context, st *engineState, q querySpec, src uint32, warm *mixen.Result) (sourceRun, error) {
 	key := servecache.Params{
 		Algo: "ppr", Mode: "refined", Epoch: st.epoch,
 		Damping: q.damping, Tol: q.tol, Iters: q.iters,
 		Sources: []uint32{src},
 	}.Key()
-	return s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (*mixen.Result, int, error) {
+	return s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (sourceRun, error) {
 		tr := obs.TraceFromContext(ctx)
 		refineStart := time.Now()
 		ws, err := st.acquireWS()
 		if err != nil {
-			return nil, 0, err
+			return sourceRun{}, err
 		}
 		defer st.releaseWS(ws)
 		out := make([]float64, st.n)
-		prog := mixen.NewPersonalizedPageRankResumeProgramShared(st.n, st.deg, src, q.damping, q.tol, q.iters, warmRes.Values)
+		prog := mixen.NewPersonalizedPageRankResumeProgramShared(st.n, st.deg, src, q.damping, q.tol, q.iters, warm.Values)
 		res, _, err := st.eng.RunToCtx(ctx, prog, ws, out)
 		tr.AddSpan(obs.SpanRefine, refineStart)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, 0, nil
+		return sourceRun{res: res}, err
 	})
 }
 
-// sourceRun is one per-source outcome plus its serving metadata.
-type sourceRun struct {
-	res    *mixen.Result
-	size   int
-	cached bool
-}
-
-// runSources answers one query's source fan-out, one cachedOne per
-// source, concurrently — so the sources that miss are submitted to the
-// batcher inside one MaxWait window and fuse into a wide pass exactly
-// as the uncached path does, while hits return immediately.
-func (s *server) runSources(ctx context.Context, sources []uint32, one func(ctx context.Context, src uint32) (*mixen.Result, int, bool, error)) ([]sourceRun, error) {
-	runs := make([]sourceRun, len(sources))
-	if len(sources) == 1 {
-		res, size, cached, err := one(ctx, sources[0])
-		if err != nil {
-			return nil, err
-		}
-		runs[0] = sourceRun{res, size, cached}
-		return runs, nil
+// fanOut runs fn(0..n-1) concurrently, waits for all of them and returns
+// the first error.
+func fanOut(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
 	}
-	errs := make(chan error, len(sources))
-	for i, src := range sources {
-		go func(i int, src uint32) {
-			res, size, cached, err := one(ctx, src)
-			if err == nil {
-				runs[i] = sourceRun{res, size, cached}
-			}
-			errs <- err
-		}(i, src)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) { errs <- fn(i) }(i)
 	}
 	var firstErr error
-	for range sources {
+	for i := 0; i < n; i++ {
 		if err := <-errs; err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return runs, nil
+	return firstErr
 }
 
 // executeModed dispatches the ppr fast-path modes. mode=approx serves
 // the coarse warm vector directly (labelled approx, tolerance
 // cfg.approxTol); mode=refine resumes it to the request's tolerance
-// (labelled refined). parseQuery guarantees algo == "ppr" here.
+// (labelled refined), source by source, concurrently. parseQuery
+// guarantees algo == "ppr" here.
 func (s *server) executeModed(ctx context.Context, st *engineState, q querySpec) (*queryResponse, error) {
 	resp := &queryResponse{Algo: q.algo, Mode: q.mode, Nodes: st.n, Edges: st.edges}
-	if q.mode == "refine" {
-		resp.Mode = "refined"
-	}
-	one := s.warmOne
-	if q.mode == "refine" {
-		one = s.refineOne
-	}
-	runs, err := s.runSources(ctx, q.sources, func(ctx context.Context, src uint32) (*mixen.Result, int, bool, error) {
-		return one(ctx, st, q, src)
-	})
+	runs, err := s.warmRuns(ctx, st, q)
 	if err != nil {
 		return nil, err
+	}
+	if q.mode == "refine" {
+		resp.Mode = "refined"
+		warm := runs
+		runs = make([]sourceRun, len(warm))
+		err := fanOut(len(warm), func(i int) (err error) {
+			runs[i], err = s.refineOne(ctx, st, q, q.sources[i], warm[i].res)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	resp.Results = make([]sourceResult, len(runs))
 	for i, run := range runs {

@@ -48,7 +48,7 @@ func main() {
 		iters      = flag.Int("iters", 100, "default iteration budget")
 
 		batch     = flag.Int("batch", 8, "batcher max fused width (0 disables batching)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "batcher window: how long a query waits for companions")
+		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "longest a query may queue while every run slot is busy (an idle server dispatches at once; queries fuse behind in-flight runs)")
 
 		traceSample = flag.Int("trace-sample", 0, "request tracing: trace 1 in N requests into /debug/traces (1 = every request, 0 = off)")
 		traceRing   = flag.Int("trace-ring", 256, "completed traces kept for /debug/traces")

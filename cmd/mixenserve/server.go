@@ -323,8 +323,8 @@ func schedPoolSampler(reg *mixen.MetricsRegistry) func() {
 //	id=7 algo=ppr batch=4 queue_wait_us=812 total_us=3377 outcome=ok
 //
 // queue_wait is the admission wait (time between asking for an execution
-// slot and getting one); the batcher's companion wait is visible in the
-// request's trace. No-op when -access-log is off.
+// slot and getting one); the time queued in the batcher behind in-flight
+// runs is the queue span of the request's trace. No-op when -access-log is off.
 func (s *server) logAccess(id uint64, algo string, batch int, wait, total time.Duration, outcome string) {
 	if s.access == nil {
 		return
@@ -749,49 +749,49 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 		qi := q
 		qi.iters = iters
 		key := exactParams("indegree", qi, nil, st.epoch).Key()
-		res, _, cached, err := s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (*mixen.Result, int, error) {
+		run, err := s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (sourceRun, error) {
 			res, err := st.eng.RunCtx(ctx, mixen.NewInDegreeProgram(iters))
-			return res, 0, err
+			return sourceRun{res: res}, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		r := shape(nil, res, 0, q, false)
-		r.Cached = cached
+		r := shape(nil, run.res, 0, q, false)
+		r.Cached = run.cached
 		resp.Results = []sourceResult{r}
 		return resp, nil
 	case "pagerank":
 		key := exactParams("pagerank", q, nil, st.epoch).Key()
-		res, size, cached, err := s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (*mixen.Result, int, error) {
-			return s.runOne(ctx, st, mixen.NewPageRankProgramShared(n, st.deg, q.damping, q.tol, q.iters))
+		runs, err := s.cachedRuns(ctx, st, s.cache, []string{key}, func(int) mixen.Program {
+			return mixen.NewPageRankProgramShared(n, st.deg, q.damping, q.tol, q.iters)
 		})
 		if err != nil {
 			return nil, err
 		}
-		r := shape(nil, res, size, q, false)
-		r.Cached = cached
+		r := shape(nil, runs[0].res, runs[0].size, q, false)
+		r.Cached = runs[0].cached
 		resp.Results = []sourceResult{r}
 		return resp, nil
 	case "ppr", "bfs":
 		// One cache entry per source: a request for sources {a,b} and a
-		// later one for {b,c} share b's vector. Sources run concurrently
-		// so cache misses land in the batcher's window together and fuse
-		// into one wide pass, exactly like the uncached path.
-		runs, err := s.runSources(ctx, q.sources, func(ctx context.Context, src uint32) (*mixen.Result, int, bool, error) {
-			key := exactParams(q.algo, q, []uint32{src}, st.epoch).Key()
-			return s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (*mixen.Result, int, error) {
-				var prog mixen.Program
-				if q.algo == "ppr" {
-					prog = mixen.NewPersonalizedPageRankProgramShared(n, st.deg, src, q.damping, q.tol, q.iters)
-				} else if s.g != nil {
-					prog = mixen.NewBFSProgram(s.g, src)
-				} else {
-					// Partition mode: BFS only needs the node count for
-					// its iteration bound.
-					prog = mixen.NewBFSProgramForN(n, src)
-				}
-				return s.runOne(ctx, st, prog)
-			})
+		// later one for {b,c} share b's vector. The sources that miss go to
+		// the batcher as one lane group and fuse into one wide pass.
+		keys := make([]string, len(q.sources))
+		for i, src := range q.sources {
+			keys[i] = exactParams(q.algo, q, []uint32{src}, st.epoch).Key()
+		}
+		runs, err := s.cachedRuns(ctx, st, s.cache, keys, func(i int) mixen.Program {
+			src := q.sources[i]
+			switch {
+			case q.algo == "ppr":
+				return mixen.NewPersonalizedPageRankProgramShared(n, st.deg, src, q.damping, q.tol, q.iters)
+			case s.g != nil:
+				return mixen.NewBFSProgram(s.g, src)
+			default:
+				// Partition mode: BFS only needs the node count for its
+				// iteration bound.
+				return mixen.NewBFSProgramForN(n, src)
+			}
 		})
 		if err != nil {
 			return nil, err
@@ -807,22 +807,30 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 	return nil, fmt.Errorf("unreachable algo %q", q.algo) // parseQuery validated
 }
 
-// runOne executes a single width-1 program, through the batcher when
-// enabled (returning the fused batch size) or directly.
-func (s *server) runOne(ctx context.Context, st *engineState, prog mixen.Program) (*mixen.Result, int, error) {
+// runAll executes the width-1 programs of one request: through the
+// batcher as one lane group — on an idle server ONE fused run — or, with
+// batching off, directly and concurrently.
+func (s *server) runAll(ctx context.Context, st *engineState, progs []mixen.Program) ([]sourceRun, error) {
+	outs := make([]sourceRun, len(progs))
 	if !s.cfg.useBatcher {
-		res, err := st.eng.RunCtx(ctx, prog)
-		return res, 0, err
+		err := fanOut(len(progs), func(i int) (err error) {
+			outs[i].res, err = st.eng.RunCtx(ctx, progs[i])
+			return err
+		})
+		return outs, err
 	}
-	fut, err := st.bat.SubmitCtx(ctx, prog)
+	futs, err := st.bat.SubmitAllCtx(ctx, progs)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	res, err := fut.WaitCtx(ctx)
-	if err != nil {
-		return nil, 0, err
+	for i, fut := range futs {
+		res, err := fut.WaitCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = sourceRun{res: res, size: fut.BatchSize()}
 	}
-	return res, fut.BatchSize(), nil
+	return outs, nil
 }
 
 // shape projects one run result into the response: requested nodes, then

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -377,11 +378,44 @@ func FuzzServeQuery(f *testing.F) {
 	})
 }
 
+// pprTrace returns the newest completed ppr trace in /debug/traces.
+func pprTrace(t *testing.T, s *server) mixen.TraceSnapshot {
+	t.Helper()
+	rec := get(s, "/debug/traces?outcome=ok")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/traces status %d", rec.Code)
+	}
+	var body struct {
+		Capacity int                   `json:"capacity"`
+		Traces   []mixen.TraceSnapshot `json:"traces"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("/debug/traces JSON: %v", err)
+	}
+	for _, tr := range body.Traces { // newest first
+		if tr.Op == "ppr" {
+			return tr
+		}
+	}
+	t.Fatalf("no completed ppr trace among %d in the ring", len(body.Traces))
+	return mixen.TraceSnapshot{}
+}
+
+func spanKinds(tr mixen.TraceSnapshot) map[string]int {
+	kinds := map[string]int{}
+	for _, sp := range tr.Spans {
+		kinds[string(sp.Kind)]++
+	}
+	return kinds
+}
+
 // TestTracingEndToEnd issues a traced batched query and checks the whole
 // observability contract: the trace lands in /debug/traces with the span
 // kinds the serving path promises (admission, queue, fuse, iteration,
 // demux) and its request id matches the access-log line for the same
-// request.
+// request. A lone query is not fused, and its trace says so: a queue span
+// (its dispatch on an idle server), the engine's spans, batch size 1 and
+// neither a fuse nor a demux span.
 func TestTracingEndToEnd(t *testing.T) {
 	var accessBuf syncBuffer
 	s := newTestServer(t, serverConfig{
@@ -394,45 +428,30 @@ func TestTracingEndToEnd(t *testing.T) {
 	if len(resp.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(resp.Results))
 	}
+	tr := pprTrace(t, s)
+	if tr.Outcome != "ok" {
+		t.Fatalf("trace = %+v, want outcome=ok", tr)
+	}
+	if tr.BatchSize != 3 {
+		t.Errorf("trace batch size = %d, want 3 (fused)", tr.BatchSize)
+	}
+	kinds := spanKinds(tr)
+	for kind, want := range map[string]int{"admission": 1, "queue": 3, "fuse": 1, "iteration": 15, "demux": 1} {
+		if kinds[kind] != want {
+			t.Errorf("fused trace has %d %q spans, want %d; have %v", kinds[kind], kind, want, kinds)
+		}
+	}
 
-	rec := get(s, "/debug/traces?outcome=ok")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/debug/traces status %d", rec.Code)
+	decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=42&iters=15&tol=0&top=2"))
+	lone := pprTrace(t, s)
+	if lone.ID == tr.ID || lone.BatchSize != 1 {
+		t.Fatalf("lone trace id %d (fused one %d) batch size %d, want a new trace of batch size 1", lone.ID, tr.ID, lone.BatchSize)
 	}
-	var body struct {
-		Capacity int                   `json:"capacity"`
-		Traces   []mixen.TraceSnapshot `json:"traces"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("/debug/traces JSON: %v", err)
-	}
-	if len(body.Traces) == 0 {
-		t.Fatal("no completed traces in the ring")
-	}
-	tr := body.Traces[len(body.Traces)-1] // oldest = the query (newest-first order)
-	for _, cand := range body.Traces {
-		if cand.Op == "ppr" {
-			tr = cand
-			break
+	kinds = spanKinds(lone)
+	for kind, want := range map[string]int{"admission": 1, "queue": 1, "fuse": 0, "iteration": 15, "demux": 0} {
+		if kinds[kind] != want {
+			t.Errorf("lone trace has %d %q spans, want %d; have %v", kinds[kind], kind, want, kinds)
 		}
-	}
-	if tr.Op != "ppr" || tr.Outcome != "ok" {
-		t.Fatalf("trace = %+v, want op=ppr outcome=ok", tr)
-	}
-	if tr.BatchSize < 3 {
-		t.Errorf("trace batch size = %d, want >= 3 (fused)", tr.BatchSize)
-	}
-	kinds := map[string]bool{}
-	for _, sp := range tr.Spans {
-		kinds[string(sp.Kind)] = true
-	}
-	for _, want := range []string{"admission", "queue", "fuse", "iteration", "demux"} {
-		if !kinds[want] {
-			t.Errorf("trace missing span kind %q; have %v", want, kinds)
-		}
-	}
-	if len(kinds) < 4 {
-		t.Errorf("trace has %d distinct span kinds, want >= 4", len(kinds))
 	}
 
 	line := accessBuf.String()
@@ -602,5 +621,54 @@ func BenchmarkServeShed(b *testing.B) {
 		if rec.Code != http.StatusTooManyRequests {
 			b.Fatalf("status %d, want 429", rec.Code)
 		}
+	}
+}
+
+// TestEightSourceMissIsOneRun: the lanes of one request reach the batcher
+// as one group, so an all-miss eight-source request on an idle server is
+// exactly ONE engine run of width 8 — with the cache (one entry and one
+// singleflight per source) and without it. A later request that shares
+// three of the sources runs only the five it is missing, again as one run.
+func TestEightSourceMissIsOneRun(t *testing.T) {
+	for name, cacheBytes := range map[string]int64{"cache": 1 << 22, "no-cache": 0} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestServer(t, serverConfig{useBatcher: true, cacheBytes: cacheBytes})
+			runs, flushes := s.reg.Counter("core.runs"), s.reg.Counter("batch.flushes")
+
+			resp := decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=3,7,11,19,23,42,99,5&iters=15&tol=0&top=2"))
+			if len(resp.Results) != 8 {
+				t.Fatalf("got %d results, want 8", len(resp.Results))
+			}
+			for i, r := range resp.Results {
+				if r.BatchSize != 8 || r.Cached {
+					t.Errorf("result %d: batch_size %d cached %v, want 8 and a run of its own", i, r.BatchSize, r.Cached)
+				}
+			}
+			if runs.Value() != 1 || flushes.Value() != 1 {
+				t.Fatalf("%d engine runs in %d flushes for an eight-source all-miss request, want 1 in 1", runs.Value(), flushes.Value())
+			}
+			if got := s.reg.Counter("batch.flushes_deadline").Value(); got != 0 {
+				t.Errorf("batch.flushes_deadline = %d, want 0: the group is dispatched on arrival", got)
+			}
+			if cacheBytes == 0 {
+				return
+			}
+
+			resp = decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=3,1,7,2,11,4,6,8&iters=15&tol=0&top=2"))
+			for i, r := range resp.Results {
+				shared := *r.Source == 3 || *r.Source == 7 || *r.Source == 11
+				if r.Cached != shared || (shared && r.BatchSize != 0) || (!shared && r.BatchSize != 5) {
+					t.Errorf("result %d (source %d): batch_size %d cached %v", i, *r.Source, r.BatchSize, r.Cached)
+				}
+			}
+			if runs.Value() != 2 {
+				t.Fatalf("%d engine runs after the overlapping request, want 2", runs.Value())
+			}
+			// The unfused path answers exactly what the fused one cached.
+			lone := decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=1&iters=15&tol=0&top=2"))
+			if !lone.Results[0].Cached || !reflect.DeepEqual(lone.Results[0].Top, resp.Results[1].Top) {
+				t.Errorf("lone request for a cached source: %+v, want the cached %+v", lone.Results[0], resp.Results[1].Top)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -187,7 +188,7 @@ func batchPoint(e *core.Engine, g *graph.Graph, gname string, k int, ones []floa
 
 	// Batch mode: the same K queries submitted to a Batcher sized to
 	// flush exactly one fused width-K pass per round.
-	b := core.NewBatcher(e, core.BatcherConfig{MaxBatch: k, MaxWait: time.Second})
+	b := core.NewBatcher(e, core.BatcherConfig{MaxBatch: k})
 	defer b.Close()
 	identical := true
 	checked := false
@@ -195,13 +196,9 @@ func batchPoint(e *core.Engine, g *graph.Graph, gname string, k int, ones []floa
 		t0 := time.Now()
 		for rep := 0; rep < reps; rep++ {
 			progs := algo.PersonalizedPageRankSet(g, sources, batchDamping, 0, batchIters)
-			futs := make([]*core.Future, k)
-			for i, p := range progs {
-				fut, err := b.Submit(p)
-				if err != nil {
-					return 0, err
-				}
-				futs[i] = fut
+			futs, err := b.SubmitAllCtx(context.Background(), progs)
+			if err != nil {
+				return 0, err
 			}
 			for i, fut := range futs {
 				res, err := fut.Wait()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,12 +13,15 @@ import (
 	"mixen/internal/vprog"
 )
 
-// TestBatcherMaxWaitFlushesSingleRequest: a lone submission must not hang
-// waiting for companions — the MaxWait deadline flushes a batch of one,
-// and its result matches the standalone run bit-for-bit.
+// TestBatcherMaxWaitFlushesSingleRequest: a lone submission does not wait
+// for companions, and not for MaxWait either — on an idle Batcher it is
+// dispatched at once (an hour-long MaxWait would otherwise hang the test),
+// booked as an idle flush, and run unfused: batch size 1, the standalone
+// run's result bit for bit.
 func TestBatcherMaxWaitFlushesSingleRequest(t *testing.T) {
 	g := skewedForConcurrency(t)
-	e, err := New(g, Config{})
+	reg := obs.NewRegistry()
+	e, err := New(g, Config{Collector: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +29,7 @@ func TestBatcherMaxWaitFlushesSingleRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(e, BatcherConfig{MaxBatch: 16, MaxWait: 2 * time.Millisecond})
+	b := NewBatcher(e, BatcherConfig{MaxBatch: 16, MaxWait: time.Hour})
 	defer b.Close()
 	fut, err := b.Submit(algo.NewPersonalizedPageRank(g, 3, 0.85, 0, 10))
 	if err != nil {
@@ -38,8 +42,27 @@ func TestBatcherMaxWaitFlushesSingleRequest(t *testing.T) {
 	if fut.BatchSize() != 1 {
 		t.Fatalf("batch size %d, want 1", fut.BatchSize())
 	}
-	if !sameValues(res.Values, want.Values) {
-		t.Fatal("deadline-flushed single query differs from standalone run")
+	if !sameValues(res.Values, want.Values) || res.Iterations != want.Iterations || res.Delta != want.Delta {
+		t.Fatal("lone query differs from standalone run")
+	}
+	wantFlushes(t, reg, map[string]int64{"idle": 1})
+}
+
+// wantFlushes checks the four flush-cause counters (causes not named must
+// be zero) and that batch.flushes is their sum.
+func wantFlushes(t *testing.T, reg *obs.Registry, want map[string]int64) {
+	t.Helper()
+	s := reg.Snapshot()
+	var sum int64
+	for _, cause := range []string{"idle", "full", "deadline", "drain"} {
+		got := s.Counters["batch.flushes_"+cause]
+		if got != want[cause] {
+			t.Errorf("batch.flushes_%s = %d, want %d", cause, got, want[cause])
+		}
+		sum += got
+	}
+	if got := s.Counters["batch.flushes"]; got != sum {
+		t.Errorf("batch.flushes = %d, want the sum of the causes %d", got, sum)
 	}
 }
 
@@ -186,12 +209,13 @@ func TestBatcherRecordsMetrics(t *testing.T) {
 	b := NewBatcher(e, BatcherConfig{MaxBatch: 4, MaxWait: time.Second})
 	defer b.Close()
 	const k = 4
-	futs := make([]*Future, k)
-	for i := 0; i < k; i++ {
-		futs[i], err = b.Submit(algo.NewPersonalizedPageRank(g, uint32(i), 0.85, 0, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
+	progs := make([]vprog.Program, k)
+	for i := range progs {
+		progs[i] = algo.NewPersonalizedPageRank(g, uint32(i), 0.85, 0, 6)
+	}
+	futs, err := b.SubmitAllCtx(context.Background(), progs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, fut := range futs {
 		if _, err := fut.Wait(); err != nil {
@@ -202,8 +226,9 @@ func TestBatcherRecordsMetrics(t *testing.T) {
 	if got := s.Counters["batch.queries"]; got != k {
 		t.Errorf("batch.queries = %d, want %d", got, k)
 	}
-	if got := s.Counters["batch.flushes"]; got != 1 {
-		t.Errorf("batch.flushes = %d, want 1", got)
+	wantFlushes(t, reg, map[string]int64{"full": 1})
+	if got := s.Gauges["batch.inflight"]; got != 0 {
+		t.Errorf("batch.inflight = %d after every future resolved, want 0", got)
 	}
 	if got := s.Histograms["batch.size"].Sum; got != k {
 		t.Errorf("batch.size sum = %d, want %d", got, k)
@@ -261,54 +286,68 @@ func TestBatchedMainPhaseAllocatesNothing(t *testing.T) {
 // request share a single trace via their common context. The trace gets one
 // queue span per lane (each lane's own wait is real) but must appear in the
 // fused run's trace list once — otherwise fuse/demux and every engine span
-// double and the span cap burns at 2x rate.
+// double and the span cap burns at 2x rate. A lone traced query, run
+// unfused, records its queue span and the engine's spans but no fuse or
+// demux span: there was nothing to fuse.
 func TestBatcherSharedTraceSpansNotDuplicated(t *testing.T) {
 	g := skewedForConcurrency(t)
 	e, err := New(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: 50 * time.Millisecond})
+	b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
 	defer b.Close()
 
-	tracer := obs.NewTracer(4, 1)
-	tr := tracer.Start(tracer.NextID(), "ppr")
-	ctx := obs.WithTrace(t.Context(), tr)
-
 	const iters = 5
-	fut1, err := b.SubmitCtx(ctx, algo.NewPersonalizedPageRank(g, 3, 0.85, 0, iters))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fut2, err := b.SubmitCtx(ctx, algo.NewPersonalizedPageRank(g, 7, 0.85, 0, iters))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fut1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fut2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	tracer.Finish(tr, "ok")
+	for _, tc := range []struct {
+		name         string
+		sources      []uint32
+		fuseAndSplit int
+	}{
+		{"two-lanes", []uint32{3, 7}, 1},
+		{"lone", []uint32{3}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer := obs.NewTracer(4, 1)
+			tr := tracer.Start(tracer.NextID(), "ppr")
+			ctx := obs.WithTrace(t.Context(), tr)
+			progs := make([]vprog.Program, len(tc.sources))
+			for i, src := range tc.sources {
+				progs[i] = algo.NewPersonalizedPageRank(g, src, 0.85, 0, iters)
+			}
+			futs, err := b.SubmitAllCtx(ctx, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fut := range futs {
+				if _, err := fut.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if fut.BatchSize() != len(tc.sources) {
+					t.Fatalf("batch size %d, want %d", fut.BatchSize(), len(tc.sources))
+				}
+			}
+			tracer.Finish(tr, "ok")
 
-	snap := tracer.Ring().Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("ring holds %d traces, want 1", len(snap))
-	}
-	counts := map[obs.SpanKind]int{}
-	for _, s := range snap[0].Spans {
-		counts[s.Kind]++
-	}
-	if counts[obs.SpanQueue] != 2 {
-		t.Errorf("queue spans = %d, want 2 (one per lane)", counts[obs.SpanQueue])
-	}
-	for _, k := range []obs.SpanKind{obs.SpanFuse, obs.SpanDemux, obs.SpanPrePhase} {
-		if counts[k] != 1 {
-			t.Errorf("%s spans = %d, want 1", k, counts[k])
-		}
-	}
-	if counts[obs.SpanIteration] != iters {
-		t.Errorf("iteration spans = %d, want %d", counts[obs.SpanIteration], iters)
+			snap := tracer.Ring().Snapshot()
+			if len(snap) != 1 {
+				t.Fatalf("ring holds %d traces, want 1", len(snap))
+			}
+			counts := map[obs.SpanKind]int{}
+			for _, s := range snap[0].Spans {
+				counts[s.Kind]++
+			}
+			if counts[obs.SpanQueue] != len(tc.sources) {
+				t.Errorf("queue spans = %d, want %d (one per lane)", counts[obs.SpanQueue], len(tc.sources))
+			}
+			for kind, want := range map[obs.SpanKind]int{
+				obs.SpanFuse: tc.fuseAndSplit, obs.SpanDemux: tc.fuseAndSplit,
+				obs.SpanPrePhase: 1, obs.SpanPostPhase: 1, obs.SpanIteration: iters,
+			} {
+				if counts[kind] != want {
+					t.Errorf("%s spans = %d, want %d", kind, counts[kind], want)
+				}
+			}
+		})
 	}
 }

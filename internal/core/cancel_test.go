@@ -228,19 +228,20 @@ func TestSubmitCtxExpiredRejected(t *testing.T) {
 
 // TestWaitCtxAbandonDoesNotBlockBatch: one caller abandoning its future
 // (WaitCtx deadline) must not cancel or corrupt companions fused into the
-// same run — the other query still gets its exact standalone result.
+// same run — the other query still gets its exact standalone result. The
+// two have contexts of their own, so they arrive one by one; a held run
+// slot makes them queue, and MaxBatch 2 dispatches them as one batch.
 func TestWaitCtxAbandonDoesNotBlockBatch(t *testing.T) {
 	g := skewedForConcurrency(t)
-	e, err := New(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := singleSlotEngine(t, g, nil)
 	want, err := e.Run(algo.NewPersonalizedPageRank(g, 7, 0.85, 0, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: 50 * time.Millisecond})
+	b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
 	defer b.Close()
+	_, release := holdRunSlot(t, b, g)
+	defer release()
 
 	expired, cancelExpired := context.WithCancel(context.Background())
 	futA, err := b.SubmitCtx(expired, algo.NewPersonalizedPageRank(g, 3, 0.85, 0, 20))
@@ -259,44 +260,76 @@ func TestWaitCtxAbandonDoesNotBlockBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("companion query failed: %v", err)
 	}
+	if futB.BatchSize() != 2 {
+		t.Fatalf("batch size %d, want 2", futB.BatchSize())
+	}
 	if !sameValues(res.Values, want.Values) {
 		t.Fatal("companion result differs from standalone run after batch-mate abandoned")
 	}
 }
 
-// TestBatchRunCancelsWhenAllMembersCancel: when EVERY member of a fused
-// run has a done context, the run itself is cancelled cooperatively and
-// every future resolves with the cancellation error.
+// TestBatchRunCancelsWhenAllMembersCancel: when EVERY member of a run has
+// a done context, the run itself is cancelled cooperatively and every
+// future resolves with the cancellation error — for members with contexts
+// of their own fused behind a held slot, for the lanes of one group under
+// their shared context, and for a lone query run unfused.
 func TestBatchRunCancelsWhenAllMembersCancel(t *testing.T) {
 	g := skewedForConcurrency(t)
-	reg := obs.NewRegistry()
-	e, err := New(g, Config{Collector: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
-	defer b.Close()
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	ctxB, cancelB := context.WithCancel(context.Background())
 	// Huge budgets, no tolerance: only cancellation can finish these.
-	futA, err := b.SubmitCtx(ctxA, algo.NewPersonalizedPageRank(g, 3, 0.85, 0, 10_000_000))
-	if err != nil {
-		t.Fatal(err)
+	endless := func(src uint32) vprog.Program {
+		return algo.NewPersonalizedPageRank(g, src, 0.85, 0, 10_000_000)
 	}
-	futB, err := b.SubmitCtx(ctxB, algo.NewPersonalizedPageRank(g, 7, 0.85, 0, 10_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancelA()
-	cancelB()
-	if _, err := futA.Wait(); err == nil {
-		t.Fatal("fully-cancelled batch resolved future A without error")
-	}
-	if _, err := futB.Wait(); err == nil {
-		t.Fatal("fully-cancelled batch resolved future B without error")
-	}
-	if got := reg.Counter("batch.cancelled_runs").Value(); got != 1 {
-		t.Fatalf("batch.cancelled_runs = %d, want 1", got)
+	for _, tc := range []struct {
+		name   string
+		submit func(t *testing.T, b *Batcher) (futs []*Future, cancelAll func())
+	}{
+		{"own-contexts", func(t *testing.T, b *Batcher) ([]*Future, func()) {
+			_, release := holdRunSlot(t, b, g)
+			t.Cleanup(release)
+			ctxA, cancelA := context.WithCancel(context.Background())
+			ctxB, cancelB := context.WithCancel(context.Background())
+			futA, err := b.SubmitCtx(ctxA, endless(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futB, err := b.SubmitCtx(ctxB, endless(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Future{futA, futB}, func() { cancelA(); cancelB() }
+		}},
+		{"group", func(t *testing.T, b *Batcher) ([]*Future, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			futs, err := b.SubmitAllCtx(ctx, []vprog.Program{endless(3), endless(7)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return futs, cancel
+		}},
+		{"lone", func(t *testing.T, b *Batcher) ([]*Future, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			fut, err := b.SubmitCtx(ctx, endless(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Future{fut}, cancel
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			e := singleSlotEngine(t, g, reg)
+			b := NewBatcher(e, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
+			defer b.Close()
+			futs, cancelAll := tc.submit(t, b)
+			cancelAll()
+			for i, fut := range futs {
+				if _, err := fut.Wait(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("future %d of a fully-cancelled run: err = %v, want context.Canceled", i, err)
+				}
+			}
+			if got := reg.Counter("batch.cancelled_runs").Value(); got != 1 {
+				t.Fatalf("batch.cancelled_runs = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +26,11 @@ import (
 //     1-core host), the caller simply executes the whole iteration space
 //     itself. This is what makes nested parallel loops deadlock-free — an
 //     inner loop issued from inside a worker body never waits on workers.
+//   - A panic in a loop body is carried to the caller: whichever
+//     participant raised it, the remaining chunks are abandoned, the loop
+//     joins, and the caller panics with the value and the original stack.
+//     A pool worker never dies of a body's panic, and whoever issued the
+//     loop can recover() from it knowing no helper is still in the body.
 //   - Loop descriptors (loopJob) are recycled through a free list, so a
 //     steady-state loop launch performs zero heap allocations — required
 //     by the engine's zero-alloc Main-Phase contract.
@@ -53,6 +60,12 @@ type loopJob struct {
 	// true, participants keep claiming chunks (the completion count must
 	// still reach n for waiters to wake) but skip the body.
 	stop *atomic.Bool
+	// failed holds the first panic a body raised on any participant. Once
+	// set, participants skip the remaining bodies (as under stop) and the
+	// caller re-raises it after the join — on the goroutine that issued the
+	// loop, where the panic can be recovered, with every helper out of the
+	// body.
+	failed atomic.Pointer[loopPanic]
 
 	cursor    atomic.Int64 // next unclaimed index
 	completed atomic.Int64 // finished elements; loop is done at n
@@ -64,13 +77,18 @@ type loopJob struct {
 	busyNs       atomic.Int64 // Σ time spent inside body across participants
 	participants atomic.Int32 // workers that executed >= 1 chunk
 
-	// Lifecycle: refs counts outstanding wakeup tokens; the job may only
-	// return to the free list once the owner has released it AND every
-	// token has been consumed (a job on the free list must be unreachable,
-	// or a recycling owner would race with a late-waking helper).
-	refs     atomic.Int32
-	released atomic.Bool
-	recycled atomic.Bool
+	// Lifecycle: refs counts who may still touch the job — the owner plus
+	// every outstanding wakeup token. Whoever drops the last reference puts
+	// the job on the free list, and nobody touches it after dropping their
+	// own: a job on the free list must be unreachable, or a recycling owner
+	// would race with a late-waking helper.
+	refs atomic.Int32
+}
+
+// loopPanic is a body's panic value and the stack it was raised on.
+type loopPanic struct {
+	val   any
+	stack []byte
 }
 
 func getJob() *loopJob {
@@ -150,7 +168,7 @@ func Stats() PoolStats {
 func workerLoop() {
 	for j := range pool.tokens {
 		j.run()
-		if j.refs.Add(-1) == 0 && j.released.Load() && j.recycled.CompareAndSwap(false, true) {
+		if j.refs.Add(-1) == 0 {
 			putJob(j)
 		}
 	}
@@ -163,24 +181,27 @@ func (j *loopJob) run() {
 	stop := j.stop
 	var busy int64
 	participated := false
+	var lo, hi int64
+	defer func() {
+		if r := recover(); r != nil {
+			j.failed.CompareAndSwap(nil, &loopPanic{r, debug.Stack()})
+			j.complete(hi - lo)
+			j.run() // keep claiming: the completion count must still reach n
+		}
+	}()
 	for {
-		lo := j.cursor.Add(chunk) - chunk
+		lo = j.cursor.Add(chunk) - chunk
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
+		hi = lo + chunk
 		if hi > n {
 			hi = n
 		}
-		if stop != nil && stop.Load() {
+		if (stop != nil && stop.Load()) || j.failed.Load() != nil {
 			// Abandoned chunk: account it as completed without running the
 			// body, so the waiter's completion count still reaches n.
-			if j.completed.Add(hi-lo) == n {
-				j.mu.Lock()
-				//lint:ignore SA2001 empty critical section orders the broadcast against a registering waiter
-				j.mu.Unlock()
-				j.cond.Broadcast()
-			}
+			j.complete(hi - lo)
 			continue
 		}
 		if j.instrumented {
@@ -191,18 +212,24 @@ func (j *loopJob) run() {
 			j.body(int(lo), int(hi))
 		}
 		participated = true
-		if j.completed.Add(hi-lo) == n {
-			// Empty critical section orders this signal against a waiter
-			// that checked `completed` and is about to Wait.
-			j.mu.Lock()
-			//lint:ignore SA2001 intentional barrier, see the comment above
-			j.mu.Unlock()
-			j.cond.Broadcast()
-		}
+		j.complete(hi - lo)
 	}
 	if participated && j.instrumented {
 		j.busyNs.Add(busy)
 		j.participants.Add(1)
+	}
+}
+
+// complete books k finished (or abandoned) elements and wakes the waiting
+// caller when they were the last.
+func (j *loopJob) complete(k int64) {
+	if j.completed.Add(k) == j.n {
+		// Empty critical section orders this signal against a waiter that
+		// checked `completed` and is about to Wait.
+		j.mu.Lock()
+		//lint:ignore SA2001 intentional barrier, see the comment above
+		j.mu.Unlock()
+		j.cond.Broadcast()
 	}
 }
 
@@ -219,9 +246,8 @@ func runParallel(n, threads, chunk int, stop *atomic.Bool, body func(lo, hi int)
 	j.busyNs.Store(0)
 	j.participants.Store(0)
 	j.instrumented = in != nil
-	j.refs.Store(0)
-	j.released.Store(false)
-	j.recycled.Store(false)
+	j.failed.Store(nil)
+	j.refs.Store(1) // the owner's
 
 	var start time.Time
 	if in != nil {
@@ -265,8 +291,11 @@ func runParallel(n, threads, chunk int, stop *atomic.Bool, body func(lo, hi int)
 		in.record(int64((n+chunk-1)/chunk), wall, idle)
 	}
 
-	j.released.Store(true)
-	if j.refs.Load() == 0 && j.recycled.CompareAndSwap(false, true) {
+	failed := j.failed.Load()
+	if j.refs.Add(-1) == 0 {
 		putJob(j)
+	}
+	if failed != nil {
+		panic(fmt.Sprintf("sched: loop body panicked: %v\n%s", failed.val, failed.stack))
 	}
 }

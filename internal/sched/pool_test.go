@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,5 +129,49 @@ func TestPoolMetricsParity(t *testing.T) {
 	}
 	if idle.Min < 0 {
 		t.Fatalf("sched.worker_idle_ns min = %v, negative idle must be clamped", idle.Min)
+	}
+}
+
+// TestBodyPanicReachesCaller: a panic in a loop body surfaces as a panic on
+// the goroutine that issued the loop, after the join, with the raising
+// participant's stack in the message — while another participant is still
+// inside its own chunk (two are forced here: whoever holds chunk 0 stays in
+// the body until the other has taken chunk 1 and is about to panic). Pool
+// workers survive it: the pool does not shrink and the next loop recruits
+// again.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	withProcs(t, 4)
+	ForRange(64, 4, 1, func(lo, hi int) {}) // start the workers
+	before := poolWorkers()
+
+	first := make(chan struct{}) // closed once chunk 0 is held
+	var second atomic.Int64
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		ForRange(2, 2, 1, func(lo, hi int) {
+			if lo == 0 {
+				close(first)
+				for second.Load() == 0 {
+					runtime.Gosched()
+				}
+				return
+			}
+			<-first
+			second.Add(1)
+			panic("boom")
+		})
+		return nil
+	}()
+	msg, ok := recovered.(string)
+	if !ok || !strings.Contains(msg, "boom") || !strings.Contains(msg, "sched: loop body panicked") {
+		t.Fatalf("recovered %v, want the body's panic carried to the caller", recovered)
+	}
+	if got := poolWorkers(); got != before {
+		t.Fatalf("pool has %d workers after a body panic, had %d", got, before)
+	}
+	var total atomic.Int64
+	ForRange(1000, 4, 16, func(lo, hi int) { total.Add(int64(hi - lo)) })
+	if total.Load() != 1000 {
+		t.Fatalf("loop after a body panic covered %d of 1000 elements", total.Load())
 	}
 }

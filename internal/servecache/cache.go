@@ -3,6 +3,7 @@ package servecache
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -15,7 +16,8 @@ type Outcome int
 const (
 	// Hit: the value came straight from a fresh cache entry.
 	Hit Outcome = iota
-	// Miss: this caller ran the compute function itself.
+	// Miss: nobody had the value cached or in flight; this caller started
+	// its computation.
 	Miss
 	// Collapsed: the caller waited on another goroutine's in-flight
 	// computation of the same key (singleflight).
@@ -43,11 +45,27 @@ type entry struct {
 	expires time.Time // zero = no expiry
 }
 
-// flight is one in-progress computation other callers can wait on.
+// flight is one key's in-progress computation, which callers wait on.
 type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+	lead *lead
+}
+
+// lead is one leading call's computation: the flights it opened (one per
+// key it missed, completed together) and the context compute runs under.
+// That context carries the leading caller's values but not its
+// cancellation: it is cancelled when the last caller still waiting on any
+// of the flights has given up — the Batcher's rule for a fused run — so a
+// leader with a short deadline cannot fail a collapsed caller that has
+// time left, and work nobody waits for stops.
+type lead struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	keys    []string
+	flights []*flight
+	waiters int // registrations on its flights not yet withdrawn; guarded by Cache.mu
 }
 
 // Stats is a point-in-time snapshot of the cache, surfaced through
@@ -127,50 +145,165 @@ func New(name string, maxBytes int64, ttl time.Duration, c obs.Collector) *Cache
 
 // GetOrCompute returns the cached value for key, or runs compute to
 // produce it. Concurrent calls for the same key collapse onto one
-// compute invocation: exactly one caller runs compute, the rest block
-// until it finishes (or their ctx is done) and share its result.
-// compute returns the value, its size in bytes for LRU accounting, and
-// an error; errors are propagated to every collapsed waiter and nothing
-// is cached.
+// compute invocation: exactly one caller starts compute, every caller
+// blocks until it finishes (or their own ctx is done) and shares its
+// result. compute returns the value, its size in bytes for LRU
+// accounting, and an error; an error — or a panic, reported as one — is
+// propagated to every waiting caller and nothing is cached. compute runs
+// under a context of its own, cancelled only once every caller has given
+// up (see lead).
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (any, int64, error)) (any, Outcome, error) {
+	var ld *lead
 	c.mu.Lock()
-	if v, ok := c.getLocked(key); ok {
-		c.nHits++
-		c.mu.Unlock()
-		c.hits.Inc()
+	v, f, outcome := c.joinLocked(ctx, key, &ld)
+	c.mu.Unlock()
+	if f == nil {
 		return v, Hit, nil
 	}
-	if f, ok := c.flights[key]; ok {
-		c.nCollapsed++
-		c.mu.Unlock()
-		c.collapsed.Inc()
-		select {
-		case <-f.done:
-			return f.val, Collapsed, f.err
-		case <-ctx.Done():
-			return nil, Collapsed, ctx.Err()
+	if ld != nil {
+		go c.run(ld, func(ctx context.Context) ([]any, []int64, error) {
+			v, size, err := compute(ctx)
+			return []any{v}, []int64{size}, err
+		})
+	}
+	vals := make([]any, 1)
+	if err := c.await(ctx, []*flight{f}, vals); err != nil {
+		return nil, outcome, err
+	}
+	return vals[0], outcome, nil
+}
+
+// GetOrComputeAll is GetOrCompute for the keys of one logical request:
+// all are resolved under one lock hold, and the ones nobody has cached or
+// in flight — missing, as indices into keys, ascending — are computed by
+// ONE compute call, so the caller can execute them together. compute
+// returns one value and one size per missing index, in that order; its
+// error fails all of them. The call returns once every key has a value,
+// or with the first error.
+func (c *Cache) GetOrComputeAll(ctx context.Context, keys []string, compute func(ctx context.Context, missing []int) ([]any, []int64, error)) ([]any, []Outcome, error) {
+	vals := make([]any, len(keys))
+	outcomes := make([]Outcome, len(keys))
+	flights := make([]*flight, len(keys))
+	var (
+		ld      *lead
+		missing []int
+	)
+	c.mu.Lock()
+	for i, key := range keys {
+		vals[i], flights[i], outcomes[i] = c.joinLocked(ctx, key, &ld)
+		if outcomes[i] == Miss {
+			missing = append(missing, i)
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	c.mu.Unlock()
+	if ld != nil {
+		go c.run(ld, func(ctx context.Context) ([]any, []int64, error) { return compute(ctx, missing) })
+	}
+	if err := c.await(ctx, flights, vals); err != nil {
+		return nil, outcomes, err
+	}
+	return vals, outcomes, nil
+}
+
+// joinLocked resolves key for one caller: a fresh entry is a Hit (no
+// flight); a computation in flight is joined (Collapsed); otherwise the
+// caller opens a flight under its lead *ld, created on first use (Miss).
+// Caller holds mu.
+func (c *Cache) joinLocked(ctx context.Context, key string, ld **lead) (any, *flight, Outcome) {
+	if v, ok := c.getLocked(key); ok {
+		c.nHits++
+		c.hits.Inc()
+		return v, nil, Hit
+	}
+	f, ok := c.flights[key]
+	if ok {
+		c.nCollapsed++
+		c.collapsed.Inc()
+		f.lead.waiters++
+		return nil, f, Collapsed
+	}
+	if *ld == nil {
+		lctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		*ld = &lead{ctx: lctx, cancel: cancel}
+	}
+	f = &flight{done: make(chan struct{}), lead: *ld}
+	(*ld).keys = append((*ld).keys, key)
+	(*ld).flights = append((*ld).flights, f)
+	(*ld).waiters++
 	c.flights[key] = f
 	c.nMisses++
-	c.mu.Unlock()
 	c.misses.Inc()
+	return nil, f, Miss
+}
 
-	val, size, err := compute(ctx)
+// run computes ld's keys and completes its flights; it runs on a goroutine
+// of its own, so that the leading caller can give up like any other waiter
+// while the rest still get the value. Whatever compute does — return, fail,
+// panic — every flight leaves the map and has done closed, so no waiter
+// hangs and a later call recomputes.
+func (c *Cache) run(ld *lead, compute func(context.Context) ([]any, []int64, error)) {
+	var (
+		vals  []any
+		sizes []int64
+		err   error
+	)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("servecache: compute panicked: %v", r)
+		} else if err == nil && (len(vals) != len(ld.keys) || len(sizes) != len(ld.keys)) {
+			err = fmt.Errorf("servecache: compute returned %d values and %d sizes for %d keys", len(vals), len(sizes), len(ld.keys))
+		}
+		c.mu.Lock()
+		for i, f := range ld.flights {
+			delete(c.flights, ld.keys[i])
+			if f.err = err; err == nil {
+				f.val = vals[i]
+				c.putLocked(ld.keys[i], vals[i], sizes[i])
+			}
+			close(f.done)
+		}
+		c.mu.Unlock()
+		ld.cancel()
+	}()
+	vals, sizes, err = compute(ld.ctx)
+}
 
+// await fills vals[i] from flights[i] (nil: already resolved) as they
+// complete. On the first failed flight, or when ctx is done, the caller
+// withdraws from all of them and the error is returned.
+func (c *Cache) await(ctx context.Context, flights []*flight, vals []any) error {
+	for i, f := range flights {
+		if f == nil {
+			continue
+		}
+		var err error
+		select {
+		case <-f.done:
+			vals[i], err = f.val, f.err
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if err != nil {
+			c.leave(flights)
+			return err
+		}
+	}
+	return nil
+}
+
+// leave withdraws one caller's registrations; a lead nobody waits on any
+// more has its computation cancelled.
+func (c *Cache) leave(flights []*flight) {
 	c.mu.Lock()
-	delete(c.flights, key)
-	f.val, f.err = val, err
-	if err == nil {
-		c.putLocked(key, val, size)
+	defer c.mu.Unlock()
+	for _, f := range flights {
+		if f == nil {
+			continue
+		}
+		if f.lead.waiters--; f.lead.waiters == 0 {
+			f.lead.cancel()
+		}
 	}
-	c.mu.Unlock()
-	close(f.done)
-	if err != nil {
-		return nil, Miss, err
-	}
-	return val, Miss, nil
 }
 
 // Get returns the cached value for key if present and fresh.

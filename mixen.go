@@ -353,16 +353,23 @@ func NewBatchProgram(n int, progs ...Program) (*BatchProgram, error) {
 	return vprog.NewBatch(n, progs...)
 }
 
-// Batcher groups concurrently submitted queries (up to MaxBatch, or for
-// at most MaxWait) and executes each group as one fused wide pass over
-// the Mixen engine. See core.Batcher.
+// Batcher runs submitted queries on the Mixen engine, fusing the ones that
+// meet into one wide pass. It is work-conserving: a query that finds a run
+// slot free — a lone query always does — is dispatched at once and run as
+// Engine.Run would run it; queries queue only behind in-flight runs, and
+// a finishing run takes up to MaxBatch of what queued behind it as ONE
+// fused pass. Submit/SubmitCtx hand in one query; SubmitAllCtx hands in
+// the lanes of one logical request together, so that on an idle Batcher
+// they leave as one fused run. See core.Batcher.
 type Batcher = core.Batcher
 
-// BatcherConfig tunes a Batcher: MaxBatch (default 16), MaxWait (default
-// 500µs) and the per-query property width (default 1).
+// BatcherConfig tunes a Batcher: MaxBatch, the most queries fused into one
+// run (default 16); MaxWait, the longest a query may queue while every run
+// slot is busy (default 500µs; <= 0 never queues) — not a window a query
+// waits out for companions; and the per-query property width (default 1).
 type BatcherConfig = core.BatcherConfig
 
-// Future is a pending batched query; Wait returns its demuxed result.
+// Future is a pending batched query; Wait returns its own result.
 type Future = core.Future
 
 // NewBatcher wraps a Mixen engine for batched serving.
