@@ -6,7 +6,9 @@
 //	mixenbench -experiment table3 [-shrink 8] [-iters 10] [-graphs wiki,road]
 //	mixenbench -experiment all
 //
-// Experiments: table1 table2 table3 table4 fig4 fig5 fig6 fig7 all.
+// Experiments: table1 table2 table3 table4 fig4 fig5 fig6 fig7 ablation
+// threads reorder model phases concurrent batch frontier coldstart serve,
+// or all.
 //
 // With -metrics-addr the process serves live scheduler metrics and pprof
 // while the experiments run, e.g.:
@@ -26,7 +28,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (table1..table4, fig4..fig7, all)")
+	experiment := flag.String("experiment", "all", "which experiment to run (table1..table4, fig4..fig7, ablation, threads, reorder, model, phases, concurrent, batch, frontier, coldstart, serve, all)")
 	shrink := flag.Int("shrink", 8, "divide preset graph sizes by this factor")
 	iters := flag.Int("iters", 10, "iterations per timed run (the paper uses 100)")
 	threads := flag.Int("threads", 0, "worker threads (0 = all cores)")
@@ -155,20 +157,6 @@ func main() {
 			}
 			return out, nil
 		},
-		"shard": func(o bench.Options) (string, error) {
-			rows, err := bench.ShardStudy(o)
-			if err != nil {
-				return "", err
-			}
-			out := bench.FormatShardStudy(rows)
-			if err := bench.ShardIdentity(rows); err != nil {
-				return "", err
-			}
-			if err := bench.ShardScalingNonIncreasing(rows, 0.10); err != nil {
-				out += "WARNING: " + err.Error() + "\n"
-			}
-			return out, nil
-		},
 		"frontier": func(o bench.Options) (string, error) {
 			rows, err := bench.FrontierStudy(o)
 			if err != nil {
@@ -181,13 +169,13 @@ func main() {
 			return out, nil
 		},
 		"serve": func(o bench.Options) (string, error) {
-			rows, approx, err := bench.ServeStudy(o)
+			rows, err := bench.ServeStudy(o)
 			if err != nil {
 				return "", err
 			}
-			out := bench.FormatServeStudy(rows, approx)
-			// Hard gate: cached answers bit-identical, approx within bound.
-			if err := bench.ServeIdentity(rows, approx); err != nil {
+			out := bench.FormatServeStudy(rows)
+			// Hard gate: cached answers bit-identical to fresh runs.
+			if err := bench.ServeIdentity(rows); err != nil {
 				return "", err
 			}
 			if err := bench.ServeCacheWins(rows); err != nil {
@@ -208,7 +196,7 @@ func main() {
 		},
 	}
 
-	order := []string{"table1", "table2", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "ablation", "threads", "reorder", "model", "phases", "concurrent", "batch", "frontier", "shard", "coldstart", "serve"}
+	order := []string{"table1", "table2", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "ablation", "threads", "reorder", "model", "phases", "concurrent", "batch", "frontier", "coldstart", "serve"}
 	var selected []string
 	if *experiment == "all" {
 		selected = order

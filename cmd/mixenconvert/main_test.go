@@ -162,7 +162,6 @@ func TestPartitionRejectsConflictingConfig(t *testing.T) {
 	for _, cfg := range []mixen.Config{
 		{Reorder: "hubsort"},
 		{AutoTune: true},
-		{Shards: 2},
 		{Side: 12345},
 	} {
 		if me, err := mixen.OpenPartition(mixp, cfg); err == nil {

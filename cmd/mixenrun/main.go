@@ -70,7 +70,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	trace := flag.Bool("trace", false, "print the per-iteration timeline (mixen engine)")
 	sparse := flag.Bool("sparse", true, "allow sparsity-aware Scatter on quiet block-rows (mixen engine); -sparse=false forces every active row dense")
-	shardsFlag := flag.Int("shards", 0, "split the regular submatrix into N shards with a propagation-blocking exchange (mixen engine; results are bit-identical to the single partition)")
 	reorderFlag := flag.String("reorder", "", "skew-aware reordering of the regular submatrix after filtering (mixen engine): degree, random, hubsort, hubcluster, dbg; results are bit-identical to the original layout")
 	autotune := flag.Bool("autotune", false, "pick the block side by timing candidate partitions before the run (mixen engine)")
 	reportPath := flag.String("report", "", "write the RunReport JSON here (\"-\" for stdout)")
@@ -161,10 +160,6 @@ func main() {
 	if isFlagSet("sparse") && !(info.engine && *engine == "mixen") {
 		fmt.Fprintln(os.Stderr, "mixenrun: -sparse applies only to the mixen engine; ignoring")
 	}
-	if *shardsFlag > 1 && !(info.engine && *engine == "mixen") {
-		fmt.Fprintln(os.Stderr, "mixenrun: -shards applies only to the mixen engine; ignoring")
-		*shardsFlag = 0
-	}
 	if reorderStrategy != "" && !(info.engine && *engine == "mixen") {
 		fmt.Fprintln(os.Stderr, "mixenrun: -reorder applies only to the mixen engine; ignoring")
 		reorderStrategy = ""
@@ -196,7 +191,7 @@ func main() {
 		runEngineAlgo(g, report, reg, *algoName, *engine, engineOpts{
 			iters: *iters, tol: *tol, source: uint32(*source), k: *k,
 			threads: *threads, top: *top, trace: *trace, parallel: *parallel,
-			batch: *batch, sparse: *sparse, shards: *shardsFlag,
+			batch: *batch, sparse: *sparse,
 			reorder: reorderStrategy, autotune: *autotune,
 		})
 	} else {
@@ -220,7 +215,6 @@ type engineOpts struct {
 	parallel               int
 	batch                  int
 	sparse                 bool
-	shards                 int
 	reorder                mixen.ReorderStrategy
 	autotune               bool
 }
@@ -267,8 +261,8 @@ func runEngineAlgo(g *mixen.Graph, report *mixen.RunReport, reg *mixen.MetricsRe
 		}
 		e, nerr := mixen.New(g, mixen.Config{
 			Threads: o.threads, Trace: o.trace, Collector: col,
-			DisableSparse: !o.sparse, Shards: o.shards,
-			Reorder: o.reorder, ReorderSeed: 1, AutoTune: o.autotune,
+			DisableSparse: !o.sparse, Reorder: o.reorder, ReorderSeed: 1,
+			AutoTune: o.autotune,
 		})
 		if nerr != nil {
 			fail(nerr)

@@ -1,6 +1,6 @@
 // Serving-layer result cache and swappable engine state for mixenserve.
 //
-// Three layers compose here:
+// Two layers compose here:
 //
 //   - engineState: everything that changes together when a new .mixp
 //     partition is swapped in (engine, batcher, degree snapshot, epoch).
@@ -12,13 +12,6 @@
 //     vectors. Exact-mode entries are engine runs cached verbatim, so a
 //     hit is bit-identical to recomputing. Concurrent identical queries
 //     collapse onto one engine run (singleflight).
-//   - warm/approx path: mode=approx serves a coarse-tolerance PPR
-//     vector (kept warm per hot source in its own cache); mode=refine
-//     resumes the NodeTol frontier machinery from that warm vector to
-//     full tolerance inside a reusable workspace (core.RunToCtx).
-//     Resumed results converge to the same fixed point but are NOT
-//     bit-identical to from-scratch runs, so they are always labelled
-//     mode=refined, never served as exact.
 package main
 
 import (
@@ -47,24 +40,18 @@ type engineState struct {
 	// unreachable before the purge even runs.
 	epoch int64
 	me    *mixen.MappedEngine // non-nil in partition mode; closed on retire
-
-	// refineWS recycles width-1 workspaces across refinement runs
-	// (mode=refine computes outside the batcher via RunToCtx, writing
-	// into a fresh out vector the cache then owns).
-	refineWS chan *mixen.Workspace
 }
 
-func newEngineState(eng *mixen.MixenEngine, me *mixen.MappedEngine, deg []float64, n int, edges int64, part *partitionStatus, epoch int64, bcfg mixen.BatcherConfig, maxConcurrent int) *engineState {
+func newEngineState(eng *mixen.MixenEngine, me *mixen.MappedEngine, deg []float64, n int, edges int64, part *partitionStatus, epoch int64, bcfg mixen.BatcherConfig) *engineState {
 	return &engineState{
-		eng:      eng,
-		bat:      mixen.NewBatcher(eng, bcfg),
-		deg:      deg,
-		n:        n,
-		edges:    edges,
-		part:     part,
-		epoch:    epoch,
-		me:       me,
-		refineWS: make(chan *mixen.Workspace, maxConcurrent),
+		eng:   eng,
+		bat:   mixen.NewBatcher(eng, bcfg),
+		deg:   deg,
+		n:     n,
+		edges: edges,
+		part:  part,
+		epoch: epoch,
+		me:    me,
 	}
 }
 
@@ -79,43 +66,22 @@ func (st *engineState) close() error {
 	return err
 }
 
-// acquireWS pops a pooled refinement workspace or builds one.
-func (st *engineState) acquireWS() (*mixen.Workspace, error) {
-	select {
-	case ws := <-st.refineWS:
-		return ws, nil
-	default:
-		return st.eng.NewWorkspace(1)
-	}
-}
-
-// releaseWS returns a workspace to the pool, dropping it when full.
-func (st *engineState) releaseWS(ws *mixen.Workspace) {
-	select {
-	case st.refineWS <- ws:
-	default:
-	}
-}
-
 // state returns the current serving snapshot. Handlers load it once per
 // request and thread it through, so a concurrent swap never mixes two
 // engines inside one request.
 func (s *server) state() *engineState { return s.st.Load() }
 
 // swapMapped publishes a new mapped partition as the serving state and
-// bumps both caches to its epoch — cached entries from the old epoch
+// bumps the cache to its epoch — cached entries from the old epoch
 // can never be served again (their keys embed the old epoch AND the
 // purge reclaims them). The old state is retired, not closed: requests
 // that loaded it before the swap are still running on it; Shutdown
 // closes retired states after the drain.
 func (s *server) swapMapped(me *mixen.MappedEngine) *engineState {
-	st := mappedState(me, s.cfg, s.bcfg)
+	st := mappedState(me, s.bcfg)
 	old := s.st.Swap(st)
 	if s.cache != nil {
 		s.cache.SetEpoch(st.epoch)
-	}
-	if s.warm != nil {
-		s.warm.SetEpoch(st.epoch)
 	}
 	s.retireMu.Lock()
 	s.retired = append(s.retired, old)
@@ -124,7 +90,7 @@ func (s *server) swapMapped(me *mixen.MappedEngine) *engineState {
 }
 
 // mappedState builds the serving snapshot for a mapped partition.
-func mappedState(me *mixen.MappedEngine, cfg serverConfig, bcfg mixen.BatcherConfig) *engineState {
+func mappedState(me *mixen.MappedEngine, bcfg mixen.BatcherConfig) *engineState {
 	m := me.Meta()
 	reorder := m.Reorder
 	if reorder == "" {
@@ -138,7 +104,7 @@ func mappedState(me *mixen.MappedEngine, cfg serverConfig, bcfg mixen.BatcherCon
 		AutoTuned: m.AutoTuned,
 		Mapped:    me.MappedFromFile(),
 	}
-	return newEngineState(me.MixenEngine, me, me.OutDegrees(), m.N, m.GraphEdges, part, m.Epoch, bcfg, cfg.maxConcurrent)
+	return newEngineState(me.MixenEngine, me, me.OutDegrees(), m.N, m.GraphEdges, part, m.Epoch, bcfg)
 }
 
 // resultSize accounts one cached *mixen.Result: the vector plus struct
@@ -157,13 +123,14 @@ type sourceRun struct {
 	cached bool
 }
 
-// cachedAll answers the runs of one request through cache, one entry per
+// cachedAll answers the runs of one request through s.cache, one entry per
 // key: a fresh entry is served as-is (bit-identical — it IS a previous
 // engine run's vector), a key some other request is computing is waited
 // for (singleflight), and the keys left over are computed by ONE call of
 // run — handed their indices, ascending — and populate the cache. With
 // the cache disabled it degrades to run over every key.
-func (s *server) cachedAll(ctx context.Context, cache *servecache.Cache, keys []string, run func(ctx context.Context, idx []int) ([]sourceRun, error)) ([]sourceRun, error) {
+func (s *server) cachedAll(ctx context.Context, keys []string, run func(ctx context.Context, idx []int) ([]sourceRun, error)) ([]sourceRun, error) {
+	cache := s.cache
 	if cache == nil {
 		all := make([]int, len(keys))
 		for i := range all {
@@ -201,8 +168,8 @@ func (s *server) cachedAll(ctx context.Context, cache *servecache.Cache, keys []
 }
 
 // cachedOne is cachedAll for a request that is a single run.
-func (s *server) cachedOne(ctx context.Context, cache *servecache.Cache, key string, run func(context.Context) (sourceRun, error)) (sourceRun, error) {
-	runs, err := s.cachedAll(ctx, cache, []string{key}, func(ctx context.Context, _ []int) ([]sourceRun, error) {
+func (s *server) cachedOne(ctx context.Context, key string, run func(context.Context) (sourceRun, error)) (sourceRun, error) {
+	runs, err := s.cachedAll(ctx, []string{key}, func(ctx context.Context, _ []int) ([]sourceRun, error) {
 		r, err := run(ctx)
 		return []sourceRun{r}, err
 	})
@@ -217,8 +184,8 @@ func (s *server) cachedOne(ctx context.Context, cache *servecache.Cache, key str
 // program of keys[i] — so that they reach the batcher as one lane group,
 // and an all-miss request on an idle server is one fused run, exactly
 // like the uncached path.
-func (s *server) cachedRuns(ctx context.Context, st *engineState, cache *servecache.Cache, keys []string, prog func(i int) mixen.Program) ([]sourceRun, error) {
-	return s.cachedAll(ctx, cache, keys, func(ctx context.Context, idx []int) ([]sourceRun, error) {
+func (s *server) cachedRuns(ctx context.Context, st *engineState, keys []string, prog func(i int) mixen.Program) ([]sourceRun, error) {
+	return s.cachedAll(ctx, keys, func(ctx context.Context, idx []int) ([]sourceRun, error) {
 		progs := make([]mixen.Program, len(idx))
 		for j, i := range idx {
 			progs[j] = prog(i)
@@ -242,61 +209,23 @@ func exactParams(algo string, q querySpec, sources []uint32, epoch int64) servec
 	return p
 }
 
-// warmRuns returns the coarse-tolerance PPR vector of every source of q,
-// computing and caching on first use — the per-hot-source warm pass behind
-// mode=approx and the starting point for mode=refine.
-func (s *server) warmRuns(ctx context.Context, st *engineState, q querySpec) ([]sourceRun, error) {
-	keys := make([]string, len(q.sources))
-	for i, src := range q.sources {
-		keys[i] = servecache.Params{
-			Algo: "ppr", Mode: "warm", Epoch: st.epoch,
-			Damping: q.damping, Tol: s.cfg.approxTol, Iters: q.iters,
-			Sources: []uint32{src},
-		}.Key()
-	}
-	return s.cachedRuns(ctx, st, s.warm, keys, func(i int) mixen.Program {
-		return mixen.NewPersonalizedPageRankProgramShared(st.n, st.deg, q.sources[i], q.damping, s.cfg.approxTol, q.iters)
-	})
-}
-
-// refineOne resumes src's warm vector at the request's full tolerance:
-// the NodeTol clamp retires nodes the coarse pass already settled, so
-// refinement touches only the unsettled tail. Runs outside the batcher in
-// a pooled workspace, writing into a fresh vector the result cache then
-// owns (core.RunToCtx). The refined entry is cached under mode=refined —
-// never under exact, because a resumed run is not bit-identical to a
-// from-scratch one.
-func (s *server) refineOne(ctx context.Context, st *engineState, q querySpec, src uint32, warm *mixen.Result) (sourceRun, error) {
-	key := servecache.Params{
-		Algo: "ppr", Mode: "refined", Epoch: st.epoch,
-		Damping: q.damping, Tol: q.tol, Iters: q.iters,
-		Sources: []uint32{src},
-	}.Key()
-	return s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (sourceRun, error) {
-		tr := obs.TraceFromContext(ctx)
-		refineStart := time.Now()
-		ws, err := st.acquireWS()
-		if err != nil {
-			return sourceRun{}, err
-		}
-		defer st.releaseWS(ws)
-		out := make([]float64, st.n)
-		prog := mixen.NewPersonalizedPageRankResumeProgramShared(st.n, st.deg, src, q.damping, q.tol, q.iters, warm.Values)
-		res, _, err := st.eng.RunToCtx(ctx, prog, ws, out)
-		tr.AddSpan(obs.SpanRefine, refineStart)
-		return sourceRun{res: res}, err
-	})
-}
-
 // fanOut runs fn(0..n-1) concurrently, waits for all of them and returns
-// the first error.
+// the first error. A panic in fn becomes that index's error, as in the
+// Batcher: one bad program fails its own request, never the process.
 func fanOut(n int, fn func(i int) error) error {
 	if n == 1 {
 		return fn(0)
 	}
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
-		go func(i int) { errs <- fn(i) }(i)
+		go func(i int) {
+			defer func() {
+				if r := recover(); r != nil {
+					errs <- fmt.Errorf("mixenserve: run %d panicked: %v", i, r)
+				}
+			}()
+			errs <- fn(i)
+		}(i)
 	}
 	var firstErr error
 	for i := 0; i < n; i++ {
@@ -305,38 +234,6 @@ func fanOut(n int, fn func(i int) error) error {
 		}
 	}
 	return firstErr
-}
-
-// executeModed dispatches the ppr fast-path modes. mode=approx serves
-// the coarse warm vector directly (labelled approx, tolerance
-// cfg.approxTol); mode=refine resumes it to the request's tolerance
-// (labelled refined), source by source, concurrently. parseQuery
-// guarantees algo == "ppr" here.
-func (s *server) executeModed(ctx context.Context, st *engineState, q querySpec) (*queryResponse, error) {
-	resp := &queryResponse{Algo: q.algo, Mode: q.mode, Nodes: st.n, Edges: st.edges}
-	runs, err := s.warmRuns(ctx, st, q)
-	if err != nil {
-		return nil, err
-	}
-	if q.mode == "refine" {
-		resp.Mode = "refined"
-		warm := runs
-		runs = make([]sourceRun, len(warm))
-		err := fanOut(len(warm), func(i int) (err error) {
-			runs[i], err = s.refineOne(ctx, st, q, q.sources[i], warm[i].res)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	resp.Results = make([]sourceResult, len(runs))
-	for i, run := range runs {
-		src := q.sources[i]
-		resp.Results[i] = shape(&src, run.res, run.size, q, false)
-		resp.Results[i].Cached = run.cached
-	}
-	return resp, nil
 }
 
 // reloadPartition opens path and swaps it in (SIGHUP handler in main;

@@ -3,12 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,12 +16,10 @@ import (
 	"mixen"
 )
 
-// cachedTestServer builds a graph-backed server with the result cache on
-// (and optionally the approx fast path).
-func cachedTestServer(t testing.TB, approx bool) *server {
+// cachedTestServer builds a graph-backed server with the result cache on.
+func cachedTestServer(t testing.TB) *server {
 	t.Helper()
-	cfg := serverConfig{cacheBytes: 1 << 22, approx: approx}
-	return newTestServer(t, cfg)
+	return newTestServer(t, serverConfig{cacheBytes: 1 << 22})
 }
 
 // valuesOf projects a response's per-node values into a map for
@@ -47,7 +45,7 @@ const probeNodes = "0,1,2,3,5,8,13,21,34,55,89,144,233,377,610,987,1499"
 // query is served from cache (cached=true) and its values are
 // bit-identical to the first run AND to an uncached server's answer.
 func TestCacheHitBitIdentity(t *testing.T) {
-	cached := cachedTestServer(t, false)
+	cached := cachedTestServer(t)
 	plain := newTestServer(t, serverConfig{})
 	queries := []string{
 		"/v1/query?algo=pagerank&iters=30&tol=0&top=0&nodes=" + probeNodes,
@@ -84,7 +82,7 @@ func TestCacheHitBitIdentity(t *testing.T) {
 // TestCacheSharedAcrossSourceSets: ppr caches per source, so {1,2} then
 // {2,3} reuses source 2's vector.
 func TestCacheSharedAcrossSourceSets(t *testing.T) {
-	s := cachedTestServer(t, false)
+	s := cachedTestServer(t)
 	decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=1,2&iters=15&tol=0"))
 	resp := decodeResponse(t, get(s, "/v1/query?algo=ppr&sources=2,3&iters=15&tol=0"))
 	bySource := map[uint32]bool{}
@@ -137,70 +135,36 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// TestApproxAndRefineModes: mode=approx serves the coarse vector
-// (labelled approx), mode=refine resumes it to the requested tolerance
-// and lands within the geometric tail bound of the exact answer —
-// close, but never claimed exact.
-func TestApproxAndRefineModes(t *testing.T) {
-	s := cachedTestServer(t, true)
-	const (
-		base    = "/v1/query?algo=ppr&source=3&damping=0.85&iters=100&top=0&nodes=" + probeNodes
-		tol     = 1e-10
-		damping = 0.85
-	)
-	exact := decodeResponse(t, get(s, base+fmt.Sprintf("&tol=%g", tol)))
-	if exact.Mode != "" {
-		t.Errorf("exact response carries mode %q", exact.Mode)
+// TestModeValidation: mode=exact (or no mode) is the only serving
+// flavour; anything else is a 400.
+func TestModeValidation(t *testing.T) {
+	s := cachedTestServer(t)
+	if rec := get(s, "/v1/query?algo=ppr&source=3&mode=exact"); rec.Code != http.StatusOK {
+		t.Errorf("mode=exact: status %d, want 200", rec.Code)
 	}
-	approx := decodeResponse(t, get(s, base+fmt.Sprintf("&tol=%g&mode=approx", tol)))
-	if approx.Mode != "approx" {
-		t.Errorf("approx response mode = %q", approx.Mode)
-	}
-	refined := decodeResponse(t, get(s, base+fmt.Sprintf("&tol=%g&mode=refine", tol)))
-	if refined.Mode != "refined" {
-		t.Errorf("refine response mode = %q", refined.Mode)
-	}
-	// Tail bound: after converging at per-node tolerance tol the residual
-	// L1 error is <= n*tol*d/(1-d); the probe subset is far below that.
-	wantVals, gotVals := valuesOf(t, exact), valuesOf(t, refined)
-	bound := 1500 * tol * damping / (1 - damping)
-	var l1 float64
-	for node, w := range wantVals {
-		l1 += math.Abs(w - gotVals[node])
-	}
-	if l1 > bound {
-		t.Errorf("refined L1 distance %g exceeds bound %g", l1, bound)
-	}
-	// The coarse vector is a real approximation: close to exact at its
-	// own (much looser) tolerance.
-	approxVals := valuesOf(t, approx)
-	var l1Coarse float64
-	for node, w := range wantVals {
-		l1Coarse += math.Abs(w - approxVals[node])
-	}
-	if coarseBound := 1500 * 1e-4 * damping / (1 - damping); l1Coarse > coarseBound {
-		t.Errorf("approx L1 distance %g exceeds coarse bound %g", l1Coarse, coarseBound)
-	}
-	// Second refine is a cache hit.
-	again := decodeResponse(t, get(s, base+fmt.Sprintf("&tol=%g&mode=refine", tol)))
-	if !again.Results[0].Cached {
-		t.Error("second refine not served from cache")
+	for _, mode := range []string{"approx", "refine", "nope"} {
+		if rec := get(s, "/v1/query?algo=ppr&source=3&mode="+mode); rec.Code != http.StatusBadRequest {
+			t.Errorf("mode=%s: status %d, want 400", mode, rec.Code)
+		}
 	}
 }
 
-// TestModeValidation: fast-path modes are rejected for non-ppr algos and
-// on servers running without -approx.
-func TestModeValidation(t *testing.T) {
-	noApprox := cachedTestServer(t, false)
-	if rec := get(noApprox, "/v1/query?algo=ppr&source=3&mode=approx"); rec.Code != http.StatusBadRequest {
-		t.Errorf("mode=approx without -approx: status %d, want 400", rec.Code)
+// TestFanOutRecoversPanic: a panicking run becomes that index's error;
+// the other runs complete and the process survives.
+func TestFanOutRecoversPanic(t *testing.T) {
+	var ran [4]bool
+	err := fanOut(len(ran), func(i int) error {
+		if i == 2 {
+			panic("bad program")
+		}
+		ran[i] = true
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "bad program") {
+		t.Fatalf("fanOut error = %v, want the recovered panic", err)
 	}
-	s := cachedTestServer(t, true)
-	if rec := get(s, "/v1/query?algo=pagerank&mode=approx"); rec.Code != http.StatusBadRequest {
-		t.Errorf("mode=approx for pagerank: status %d, want 400", rec.Code)
-	}
-	if rec := get(s, "/v1/query?algo=ppr&source=3&mode=nope"); rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown mode: status %d, want 400", rec.Code)
+	if !ran[0] || !ran[1] || !ran[3] {
+		t.Errorf("non-panicking runs did not all complete: %v", ran)
 	}
 }
 

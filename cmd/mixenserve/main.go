@@ -56,8 +56,6 @@ func main() {
 
 		cacheSize = flag.Int64("cache-size", 0, "result cache budget in bytes (0 disables caching; exact-mode hits are bit-identical to recomputing)")
 		cacheTTL  = flag.Duration("cache-ttl", 0, "cached entry lifetime (0 = 5m default when the cache is on, negative = never expire)")
-		approx    = flag.Bool("approx", false, "enable mode=approx/refine: serve coarse-tolerance PPR vectors kept warm per hot source, refined on demand")
-		approxTol = flag.Float64("approx-tol", 1e-4, "tolerance of the warm coarse PPR pass behind -approx")
 
 		grace = flag.Duration("shutdown-grace", 10*time.Second, "drain budget for in-flight queries on SIGINT/SIGTERM")
 	)
@@ -79,8 +77,6 @@ func main() {
 		traceRing:      *traceRing,
 		cacheBytes:     *cacheSize,
 		cacheTTL:       *cacheTTL,
-		approx:         *approx,
-		approxTol:      *approxTol,
 	}
 	if *accessLog {
 		cfg.accessLog = os.Stdout

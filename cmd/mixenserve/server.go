@@ -64,11 +64,6 @@ type serverConfig struct {
 	// cacheTTL bounds a cached entry's lifetime. 0 picks the 5-minute
 	// default when the cache is on; negative disables expiry.
 	cacheTTL time.Duration
-	// approx enables the mode=approx/refine fast path: coarse-tolerance
-	// PPR vectors kept warm per hot source (at approxTol, default 1e-4),
-	// refined to the request's tolerance on demand.
-	approx    bool
-	approxTol float64
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -111,9 +106,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.cacheTTL < 0 {
 		c.cacheTTL = 0 // no expiry
 	}
-	if c.approxTol <= 0 {
-		c.approxTol = 1e-4
-	}
 	return c
 }
 
@@ -142,10 +134,8 @@ type server struct {
 	cfg  serverConfig
 
 	// cache holds full per-source result vectors keyed on (algo, params,
-	// source, epoch); warm holds the coarse-tolerance PPR vectors behind
-	// mode=approx/refine. Both nil when disabled.
+	// source, epoch); nil when disabled.
 	cache *servecache.Cache
-	warm  *servecache.Cache
 
 	// retired collects engine states replaced by swaps; Shutdown closes
 	// them after the drain (requests loaded them before the swap).
@@ -222,14 +212,14 @@ func newServer(g *mixen.Graph, eng *mixen.MixenEngine, reg *mixen.MetricsRegistr
 // result cache.
 func newServerMapped(me *mixen.MappedEngine, reg *mixen.MetricsRegistry, cfg serverConfig, bcfg mixen.BatcherConfig) *server {
 	cfg = cfg.withDefaults()
-	return newServerState(nil, mappedState(me, cfg, bcfg), reg, cfg, bcfg)
+	return newServerState(nil, mappedState(me, bcfg), reg, cfg, bcfg)
 }
 
 func newServerWith(g *mixen.Graph, eng *mixen.MixenEngine, deg []float64, n int, edges int64, part *partitionStatus, reg *mixen.MetricsRegistry, cfg serverConfig, bcfg mixen.BatcherConfig) *server {
 	cfg = cfg.withDefaults()
 	// Graph-built engines have no build epoch; 0 versions their cache
 	// (graph-mode servers never swap, so the epoch never changes).
-	st := newEngineState(eng, nil, deg, n, edges, part, 0, bcfg, cfg.maxConcurrent)
+	st := newEngineState(eng, nil, deg, n, edges, part, 0, bcfg)
 	return newServerState(g, st, reg, cfg, bcfg)
 }
 
@@ -264,14 +254,6 @@ func newServerState(g *mixen.Graph, st *engineState, reg *mixen.MetricsRegistry,
 	if cfg.cacheBytes > 0 {
 		s.cache = servecache.New("server.cache", cfg.cacheBytes, cfg.cacheTTL, reg)
 		s.cache.SetEpoch(st.epoch)
-	}
-	if cfg.approx {
-		// The warm store rides on a quarter of the cache budget (coarse
-		// vectors are few — one per hot source — and small payoff-per-byte
-		// losers evict first). With caching off it still collapses
-		// concurrent coarse passes (singleflight-only mode).
-		s.warm = servecache.New("server.warmcache", cfg.cacheBytes/4, cfg.cacheTTL, reg)
-		s.warm.SetEpoch(st.epoch)
 	}
 	if cfg.accessLog != nil {
 		s.access = log.New(cfg.accessLog, "", 0)
@@ -388,10 +370,6 @@ type querySpec struct {
 	top      int
 	nodes    []uint32
 	timeout  time.Duration
-	// mode selects the serving flavour for ppr: "" / "exact" (full
-	// tolerance, cacheable bit-identically), "approx" (coarse warm
-	// vector) or "refine" (warm vector resumed to full tolerance).
-	mode string
 }
 
 // algoNeedsSource lists the supported algorithms and whether they take
@@ -438,8 +416,8 @@ func parseQuery(v url.Values, n int, cfg serverConfig) (querySpec, error) {
 	}
 	if raw := v.Get("tol"); raw != "" {
 		q.tol, err = strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(q.tol) || q.tol < 0 {
-			return querySpec{}, fmt.Errorf("tol must be >= 0, got %q", raw)
+		if err != nil || math.IsNaN(q.tol) || math.IsInf(q.tol, 0) || q.tol < 0 {
+			return querySpec{}, fmt.Errorf("tol must be finite and >= 0, got %q", raw)
 		}
 	}
 	if raw := v.Get("iters"); raw != "" {
@@ -458,17 +436,8 @@ func parseQuery(v url.Values, n int, cfg serverConfig) (querySpec, error) {
 	if q.nodes, err = parseNodeList(v, "nodes", "", n, cfg.maxTop); err != nil {
 		return querySpec{}, err
 	}
-	switch q.mode = v.Get("mode"); q.mode {
-	case "", "exact":
-	case "approx", "refine":
-		if q.algo != "ppr" {
-			return querySpec{}, fmt.Errorf("mode=%s is only supported for algo=ppr", q.mode)
-		}
-		if !cfg.approx {
-			return querySpec{}, fmt.Errorf("mode=%s requires the server to run with -approx", q.mode)
-		}
-	default:
-		return querySpec{}, fmt.Errorf("mode must be exact, approx or refine, got %q", q.mode)
+	if mode := v.Get("mode"); mode != "" && mode != "exact" {
+		return querySpec{}, fmt.Errorf("mode must be exact, got %q", mode)
 	}
 	if raw := v.Get("timeout"); raw != "" {
 		q.timeout, err = time.ParseDuration(raw)
@@ -570,12 +539,7 @@ type sourceResult struct {
 
 // queryResponse is the /v1/query response body.
 type queryResponse struct {
-	Algo string `json:"algo"`
-	// Mode is the serving flavour: "exact" (default, omitted), "approx"
-	// (coarse-tolerance warm vector) or "refined" (warm vector resumed
-	// to the requested tolerance; within tolerance of exact but not
-	// bit-identical to it).
-	Mode      string         `json:"mode,omitempty"`
+	Algo      string         `json:"algo"`
 	Nodes     int            `json:"graph_nodes"`
 	Edges     int64          `json:"graph_edges"`
 	ElapsedMs float64        `json:"elapsed_ms"`
@@ -724,12 +688,8 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
 
 // execute runs one decoded query against the st snapshot and shapes the
 // response. Exact answers flow through the result cache (bit-identical
-// on hits, singleflight-collapsed on concurrent misses); mode=approx
-// and mode=refine divert to the warm-vector fast path (executeModed).
+// on hits, singleflight-collapsed on concurrent misses).
 func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*queryResponse, error) {
-	if q.mode == "approx" || q.mode == "refine" {
-		return s.executeModed(ctx, st, q)
-	}
 	resp := &queryResponse{
 		Algo:  q.algo,
 		Nodes: st.n,
@@ -749,7 +709,7 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 		qi := q
 		qi.iters = iters
 		key := exactParams("indegree", qi, nil, st.epoch).Key()
-		run, err := s.cachedOne(ctx, s.cache, key, func(ctx context.Context) (sourceRun, error) {
+		run, err := s.cachedOne(ctx, key, func(ctx context.Context) (sourceRun, error) {
 			res, err := st.eng.RunCtx(ctx, mixen.NewInDegreeProgram(iters))
 			return sourceRun{res: res}, err
 		})
@@ -762,7 +722,7 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 		return resp, nil
 	case "pagerank":
 		key := exactParams("pagerank", q, nil, st.epoch).Key()
-		runs, err := s.cachedRuns(ctx, st, s.cache, []string{key}, func(int) mixen.Program {
+		runs, err := s.cachedRuns(ctx, st, []string{key}, func(int) mixen.Program {
 			return mixen.NewPageRankProgramShared(n, st.deg, q.damping, q.tol, q.iters)
 		})
 		if err != nil {
@@ -780,7 +740,7 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 		for i, src := range q.sources {
 			keys[i] = exactParams(q.algo, q, []uint32{src}, st.epoch).Key()
 		}
-		runs, err := s.cachedRuns(ctx, st, s.cache, keys, func(i int) mixen.Program {
+		runs, err := s.cachedRuns(ctx, st, keys, func(i int) mixen.Program {
 			src := q.sources[i]
 			switch {
 			case q.algo == "ppr":
@@ -894,15 +854,14 @@ func topK(values []float64, k int, ascending bool) []nodeValue {
 
 // healthzResponse is the /healthz body; partition is present only in
 // partition mode, telling operators which mapped build is serving.
-// Epoch versions the result cache (cache/warm stats present only when
-// the corresponding layer is enabled): after a partition swap, operators
-// can confirm here that the serving epoch moved and the caches purged.
+// Epoch versions the result cache (cache stats present only when the
+// cache is enabled): after a partition swap, operators can confirm here
+// that the serving epoch moved and the cache purged.
 type healthzResponse struct {
 	Status    string            `json:"status"`
 	Epoch     int64             `json:"epoch"`
 	Partition *partitionStatus  `json:"partition,omitempty"`
 	Cache     *servecache.Stats `json:"cache,omitempty"`
-	WarmCache *servecache.Stats `json:"warm_cache,omitempty"`
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -911,10 +870,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		resp.Cache = &cs
-	}
-	if s.warm != nil {
-		ws := s.warm.Stats()
-		resp.WarmCache = &ws
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -96,6 +97,10 @@ func TestParseQuery(t *testing.T) {
 		"algo=pagerank&damping=1",   // open interval
 		"algo=pagerank&damping=NaN", // NaN rejected
 		"algo=pagerank&tol=-1",
+		"algo=pagerank&tol=Inf",  // a one-iteration answer labelled exact
+		"algo=pagerank&tol=-Inf", // likewise
+		"algo=ppr&source=1&mode=approx",
+		"algo=ppr&source=1&mode=refine",
 		"algo=pagerank&iters=0",
 		"algo=pagerank&iters=999999", // over maxIters
 		"algo=pagerank&top=-1",
@@ -360,6 +365,9 @@ func FuzzServeQuery(f *testing.F) {
 		}
 		if spec.timeout <= 0 || spec.timeout > cfg.maxTimeout {
 			t.Fatalf("accepted timeout %v outside (0, %v]", spec.timeout, cfg.maxTimeout)
+		}
+		if math.IsInf(spec.tol, 0) || !(spec.tol >= 0) {
+			t.Fatalf("accepted tol %v, want finite and >= 0", spec.tol)
 		}
 		if spec.damping <= 0 || spec.damping >= 1 {
 			t.Fatalf("accepted damping %v outside (0, 1)", spec.damping)

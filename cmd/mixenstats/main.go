@@ -24,7 +24,6 @@ func main() {
 	edgelist := flag.String("edgelist", "", "path to a text edge list (src dst per line)")
 	binary := flag.String("binary", "", "path to a CSR binary graph")
 	detailFlag := flag.Bool("detail", false, "print degree distribution, skew exponent and diameter estimate")
-	shards := flag.Int("shards", 0, "report per-shard node/edge/hub balance and cut-edge fraction for this shard count")
 	reorderFlag := flag.Bool("reorder", false, "print whole-graph bandwidth/avg-span before and after each reordering strategy")
 	flag.Parse()
 
@@ -61,13 +60,6 @@ func main() {
 		fmt.Printf("approx diameter       %12d\n", mixen.ApproxDiameter(g, 0))
 	}
 
-	if *shards > 1 {
-		if err := printShardBalance(g, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, "mixenstats:", err)
-			os.Exit(1)
-		}
-	}
-
 	if *reorderFlag {
 		if err := printReorderLayouts(g); err != nil {
 			fmt.Fprintln(os.Stderr, "mixenstats:", err)
@@ -94,34 +86,6 @@ func printReorderLayouts(g *mixen.Graph) error {
 		}
 		fmt.Printf("%-11s %14d %12.1f\n", s, mixen.GraphBandwidth(rg), mixen.GraphAvgSpan(rg))
 	}
-	return nil
-}
-
-// printShardBalance builds the sharded engine and reports how evenly the
-// requested split distributes nodes, hubs and edges — and what fraction of
-// regular-submatrix edges the split pushes through the exchange — so shard
-// counts are inspectable before committing to a serving configuration.
-func printShardBalance(g *mixen.Graph, shards int) error {
-	e, err := mixen.BuildSharded(g, mixen.Config{Shards: shards})
-	if err != nil {
-		return err
-	}
-	sh := e.Sharding()
-	if sh == nil {
-		fmt.Printf("\nshard balance: %d shards requested, but the regular submatrix fits a\n", shards)
-		fmt.Printf("single block-row — sharding clamped to 1, no exchange to report\n")
-		return nil
-	}
-	fmt.Printf("\nshard balance (%d shards, side %d)\n", sh.S, sh.Side)
-	if sh.S != shards {
-		fmt.Printf("  (clamped from %d: the regular submatrix has only %d block-rows)\n", shards, sh.B)
-	}
-	fmt.Printf("%-6s %10s %8s %12s %12s %12s\n", "shard", "nodes", "hubs", "local_edges", "out_edges", "in_edges")
-	for i, s := range mixen.ShardBalance(e) {
-		fmt.Printf("%-6d %10d %8d %12d %12d %12d\n", i, s.Nodes, s.Hubs, s.LocalEdges, s.OutEdges, s.InEdges)
-	}
-	fmt.Printf("cut edges             %12d\n", sh.CutEdges)
-	fmt.Printf("cut fraction          %11.1f%%\n", 100*sh.CutFraction())
 	return nil
 }
 

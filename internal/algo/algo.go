@@ -103,12 +103,7 @@ type PageRank struct {
 	// values differ from the unclamped iteration by at most
 	// NodeTol/(1-damping) per node.
 	NodeTol float64
-	// Warm optionally seeds the iteration from a previously computed
-	// vector (len n, original id order) instead of the uniform 1/n —
-	// the resume-at-tighter-tolerance entry point (see resume.go). The
-	// slice is read, never written.
-	Warm []float64
-	deg  []float64
+	deg     []float64
 }
 
 // NewPageRank builds the program for graph g. tol <= 0 disables the
@@ -134,14 +129,9 @@ func (p *PageRank) Width() int { return 1 }
 // Ring implements vprog.Program.
 func (p *PageRank) Ring() vprog.Ring { return vprog.Sum }
 
-// Init implements vprog.Program: uniform 1/n, or the warm vector when
-// resuming (zero-in-degree nodes keep whichever was used, per the
-// engine contract).
+// Init implements vprog.Program: uniform 1/n (zero-in-degree nodes keep
+// it, per the engine contract).
 func (p *PageRank) Init(v uint32, out []float64) {
-	if p.Warm != nil {
-		out[0] = p.Warm[v]
-		return
-	}
 	out[0] = 1 / float64(p.N)
 }
 

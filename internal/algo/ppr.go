@@ -27,12 +27,7 @@ type PersonalizedPageRank struct {
 	// sub-NodeTol updates keep the previous value exactly and report a
 	// zero delta. 0 disables the clamp.
 	NodeTol float64
-	// Warm optionally seeds the iteration from a previously computed
-	// vector (len n, original id order) instead of the teleport
-	// distribution — the resume-at-tighter-tolerance entry point (see
-	// resume.go). The slice is read, never written.
-	Warm []float64
-	deg  []float64
+	deg     []float64
 }
 
 // NewPersonalizedPageRank builds the program for graph g with a point-mass
@@ -112,13 +107,8 @@ func (p *PersonalizedPageRank) Width() int { return 1 }
 func (p *PersonalizedPageRank) Ring() vprog.Ring { return vprog.Sum }
 
 // Init implements vprog.Program: mass starts on the teleport distribution
-// (zero-in-degree nodes keep it, mirroring PageRank's engine contract),
-// or on the warm vector when resuming.
+// (zero-in-degree nodes keep it, mirroring PageRank's engine contract).
 func (p *PersonalizedPageRank) Init(v uint32, out []float64) {
-	if p.Warm != nil {
-		out[0] = p.Warm[v]
-		return
-	}
 	out[0] = p.teleport(v)
 }
 

@@ -27,15 +27,10 @@ import (
 // pass's hit rate (WarmHitPct), which is where the zipf skew is visible:
 // the more skewed the stream, the more of it is re-requests.
 //
-// Two correctness gates ride along:
-//
-//   - bit-identity (hard): sampled cached answers are compared bit for bit
-//     against fresh engine runs — a cache hit must be indistinguishable
-//     from recomputing (the engine is deterministic; the cache serves a
-//     previous run's vector verbatim).
-//   - approx tolerance: the warm-vector fast path (coarse pass at
-//     serveCoarseTol resumed to full tolerance) must land within the
-//     geometric tail bound of the from-scratch answer.
+// A bit-identity gate rides along: sampled cached answers are compared bit
+// for bit against fresh engine runs — a cache hit must be
+// indistinguishable from recomputing (the engine is deterministic; the
+// cache serves a previous run's vector verbatim).
 const (
 	// serveHotSet is how many degree-ranked hot sources the zipf sampler
 	// draws from; the cache is sized to hold exactly this many vectors, so
@@ -44,10 +39,9 @@ const (
 	serveHotSet = 256
 	// serveQueries is the replay length per (skew, cache) cell.
 	serveQueries = 1000
-	// serveDamping/serveTol/serveCoarseTol fix the PPR query parameters.
-	serveDamping   = 0.85
-	serveTol       = 1e-8
-	serveCoarseTol = 1e-4
+	// serveDamping/serveTol fix the PPR query parameters.
+	serveDamping = 0.85
+	serveTol     = 1e-8
 	// serveIdentityEvery samples every k-th timed query for the
 	// bit-identity gate (recomputing fresh is expensive).
 	serveIdentityEvery = 97
@@ -77,22 +71,6 @@ type ServeRow struct {
 	// for cache-off rows, which serve nothing but fresh runs).
 	Identical bool
 }
-
-// ServeApprox is the warm-vector fast-path check: one hot source's coarse
-// pass resumed to full tolerance, compared against the from-scratch
-// answer.
-type ServeApprox struct {
-	Source      uint32
-	CoarseIters int
-	RefineIters int
-	ExactIters  int
-	// L1 is the refined-vs-exact distance; Bound is the geometric tail
-	// bound it must stay under.
-	L1, Bound float64
-}
-
-// Within reports whether the refined answer honors the tolerance bound.
-func (a ServeApprox) Within() bool { return a.L1 <= a.Bound }
 
 // serveGraph builds the study's skewed graph, scaled down by shrink.
 func serveGraph(o Options) (*graph.Graph, error) {
@@ -150,18 +128,18 @@ func hotSources(g *graph.Graph, k int) []uint32 {
 	return out
 }
 
-// ServeStudy runs the zipf replay for each skew, cache-off then cache-on,
-// plus the approx fast-path check. Every cache-on row is gated on
-// bit-identity; a violation is returned as an error, not a row.
-func ServeStudy(o Options) ([]ServeRow, ServeApprox, error) {
+// ServeStudy runs the zipf replay for each skew, cache-off then cache-on.
+// Every cache-on row is gated on bit-identity; a violation is returned as
+// an error, not a row.
+func ServeStudy(o Options) ([]ServeRow, error) {
 	o = o.withDefaults()
 	g, err := serveGraph(o)
 	if err != nil {
-		return nil, ServeApprox{}, err
+		return nil, err
 	}
 	eng, err := core.New(g, core.Config{Threads: o.Threads})
 	if err != nil {
-		return nil, ServeApprox{}, err
+		return nil, err
 	}
 	n := g.NumNodes()
 	deg := algo.OutDegrees(g)
@@ -187,7 +165,7 @@ func ServeStudy(o Options) ([]ServeRow, ServeApprox, error) {
 				// Warm pass: the traffic that preceded the measured window.
 				for _, r := range trace {
 					if _, _, err := getOrRun(cache, hot[r], run); err != nil {
-						return nil, ServeApprox{}, err
+						return nil, err
 					}
 				}
 				ws := cache.Stats()
@@ -214,14 +192,14 @@ func ServeStudy(o Options) ([]ServeRow, ServeApprox, error) {
 				}
 				lat[i] = time.Since(q0)
 				if err != nil {
-					return nil, ServeApprox{}, err
+					return nil, err
 				}
 				// Bit-identity gate: a sampled cached answer must match a
 				// fresh run exactly.
 				if cache != nil && i%serveIdentityEvery == 0 {
 					fresh, err := run(src)
 					if err != nil {
-						return nil, ServeApprox{}, err
+						return nil, err
 					}
 					if !equalF64(res.Values, fresh.Values) {
 						row.Identical = false
@@ -242,17 +220,13 @@ func ServeStudy(o Options) ([]ServeRow, ServeApprox, error) {
 			row.P99Ms = lat[len(lat)*99/100].Seconds() * 1e3
 			row.QPS = float64(len(trace)) / total.Seconds()
 			if !row.Identical {
-				return nil, ServeApprox{}, fmt.Errorf("bench: serve skew=%.2f: cached answer not bit-identical to a fresh run", s)
+				return nil, fmt.Errorf("bench: serve skew=%.2f: cached answer not bit-identical to a fresh run", s)
 			}
 			rows = append(rows, row)
 		}
 	}
 
-	approx, err := serveApproxCheck(eng, n, deg, hot[0])
-	if err != nil {
-		return nil, ServeApprox{}, err
-	}
-	return rows, approx, nil
+	return rows, nil
 }
 
 // getOrRun is the serving cache path in miniature: canonical key, then
@@ -276,38 +250,8 @@ func getOrRun(cache *servecache.Cache, src uint32, run func(uint32) (*vprog.Resu
 	return v.(*vprog.Result), out, nil
 }
 
-// serveApproxCheck runs the warm-vector fast path for one hot source:
-// coarse pass, resume to full tolerance, compare against from-scratch.
-func serveApproxCheck(eng *core.Engine, n int, deg []float64, src uint32) (ServeApprox, error) {
-	const iters = 300
-	a := ServeApprox{Source: src}
-	coarse, err := eng.Run(algo.NewPersonalizedPageRankShared(n, deg, src, serveDamping, serveCoarseTol, iters))
-	if err != nil {
-		return a, err
-	}
-	a.CoarseIters = coarse.Iterations
-	exact, err := eng.Run(algo.NewPersonalizedPageRankShared(n, deg, src, serveDamping, serveTol, iters))
-	if err != nil {
-		return a, err
-	}
-	a.ExactIters = exact.Iterations
-	refined, err := eng.Run(algo.NewPersonalizedPageRankResumeShared(n, deg, src, serveDamping, serveTol, iters, coarse.Values))
-	if err != nil {
-		return a, err
-	}
-	a.RefineIters = refined.Iterations
-	for i := range exact.Values {
-		a.L1 += math.Abs(exact.Values[i] - refined.Values[i])
-	}
-	// Geometric tail: converging at per-node tolerance serveTol/n leaves
-	// at most serveTol*d/(1-d) L1 mass in flight on each side; 8x covers
-	// both runs with margin.
-	a.Bound = 8 * serveTol * serveDamping / (1 - serveDamping)
-	return a, nil
-}
-
-// FormatServeStudy renders the replay table plus the approx check line.
-func FormatServeStudy(rows []ServeRow, approx ServeApprox) string {
+// FormatServeStudy renders the replay table.
+func FormatServeStudy(rows []ServeRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-5s %5s %8s %7s %9s %7s %9s %9s %9s %9s\n",
 		"Skew", "cache", "queries", "hotset", "warm-hit%", "hit%", "p50 ms", "p99 ms", "qps", "identical")
@@ -319,22 +263,15 @@ func FormatServeStudy(rows []ServeRow, approx ServeApprox) string {
 		fmt.Fprintf(&b, "%-5.2f %5s %8d %7d %9.1f %7.1f %9.4f %9.4f %9.0f %9v\n",
 			r.Skew, onoff, r.Queries, r.HotSet, r.WarmHitPct, r.HitPct, r.P50Ms, r.P99Ms, r.QPS, r.Identical)
 	}
-	fmt.Fprintf(&b, "approx: source=%d refine L1=%.3g bound=%.3g within=%v (coarse %d iters, refined %d, exact %d)\n",
-		approx.Source, approx.L1, approx.Bound, approx.Within(),
-		approx.CoarseIters, approx.RefineIters, approx.ExactIters)
 	return b.String()
 }
 
-// ServeIdentity is the hard gate: every cache-on row bit-identical, and
-// the approx answer within its tolerance bound.
-func ServeIdentity(rows []ServeRow, approx ServeApprox) error {
+// ServeIdentity is the hard gate: every cache-on row bit-identical.
+func ServeIdentity(rows []ServeRow) error {
 	for _, r := range rows {
 		if r.Cache && !r.Identical {
 			return fmt.Errorf("bench: serve skew=%.2f: cached answers not bit-identical to fresh runs", r.Skew)
 		}
-	}
-	if !approx.Within() {
-		return fmt.Errorf("bench: serve approx: refined L1 %.3g exceeds tolerance bound %.3g", approx.L1, approx.Bound)
 	}
 	return nil
 }

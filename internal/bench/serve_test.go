@@ -31,14 +31,14 @@ func TestServeStudySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay study")
 	}
-	rows, approx, err := ServeStudy(Options{Shrink: 64, Iters: 5, Threads: 2})
+	rows, err := ServeStudy(Options{Shrink: 64, Iters: 5, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2*len(serveSkews) {
 		t.Fatalf("rows = %d, want %d", len(rows), 2*len(serveSkews))
 	}
-	if err := ServeIdentity(rows, approx); err != nil {
+	if err := ServeIdentity(rows); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
@@ -57,11 +57,8 @@ func TestServeStudySmoke(t *testing.T) {
 	if err := ServeCacheWins(rows); err != nil {
 		t.Errorf("cache did not win at skew >= 1.0: %v", err)
 	}
-	if !approx.Within() {
-		t.Errorf("approx outside bound: %+v", approx)
-	}
-	out := FormatServeStudy(rows, approx)
-	if !strings.Contains(out, "p99 ms") || !strings.Contains(out, "approx:") {
+	out := FormatServeStudy(rows)
+	if !strings.Contains(out, "p99 ms") {
 		t.Errorf("formatted study missing expected sections:\n%s", out)
 	}
 }

@@ -204,14 +204,8 @@ func NewPartition(ptr []int64, idx []graph.Node, r int, cfg Config) (*Partition,
 	t0 := time.Now()
 	bd := newBuild(ptr, idx, r, cfg, p.Nnz)
 	bd.count()
-	var order []*piece
-	for i := range bd.rows {
-		for k := range bd.rows[i] {
-			order = append(order, &bd.rows[i][k])
-		}
-	}
 	t1 := time.Now()
-	blocks := bd.fill(order)
+	blocks := bd.fill()
 	t2 := time.Now()
 
 	p.Blocks = make([]*SubBlock, len(blocks))
@@ -303,11 +297,11 @@ type piece struct {
 	srcOff, dstOff int64 // its place in the arenas, set by fill
 }
 
-// build is the two-pass construction NewPartition and the sharded cut build
-// share. Adjacency rows ascend, so a row meets each block-column as one
-// contiguous run; a run is one bin entry, or one entry per edge with
-// compression off. Both passes stream the same runs in the same order, so
-// what count sizes is exactly what fill writes.
+// build is NewPartition's two-pass construction. Adjacency rows ascend, so
+// a row meets each block-column as one contiguous run; a run is one bin
+// entry, or one entry per edge with compression off. Both passes stream
+// the same runs in the same order, so what count sizes is exactly what
+// fill writes.
 type build struct {
 	ptr      []int64
 	idx      []graph.Node
@@ -320,9 +314,6 @@ type build struct {
 	// the run that would push a non-empty piece past it. A single run is
 	// never divided, so one hub source can still exceed the cap by itself.
 	maxEdges int64
-	// shardOf, when set, keeps only the runs whose block-column belongs to
-	// another shard than their block-row (the sharded build's cut cells).
-	shardOf []int32
 
 	weight []int64   // per-block-row edge prefix balancing both passes
 	rows   [][]piece // per block-row: its pieces, column-ordered, a cell's pieces adjacent
@@ -362,7 +353,7 @@ func (bd *build) col(d graph.Node) int {
 	return int(d) / bd.side
 }
 
-// runs calls visit(u, j, run) for every kept run of block-row i: the
+// runs calls visit(u, j, run) for every run of block-row i: the
 // destinations of source u that fall in block-column j.
 func (bd *build) runs(i int, visit func(u, j int, run []graph.Node)) {
 	side := bd.side
@@ -375,9 +366,7 @@ func (bd *build) runs(i int, visit func(u, j int, run []graph.Node)) {
 			for end < len(row) && int(row[end]) < limit {
 				end++
 			}
-			if bd.shardOf == nil || bd.shardOf[j] != bd.shardOf[i] {
-				visit(u, j, row[k:end])
-			}
+			visit(u, j, row[k:end])
 			k = end
 		}
 	}
@@ -428,29 +417,36 @@ func (bd *build) countRow(i int, open []int) []piece {
 	return pieces
 }
 
-// fill places the pieces in the given order — any order that keeps a
-// cell's pieces adjacent — in ONE Srcs and ONE Dst arena of exact size,
-// writes them, and returns their sub-blocks (EntryOff = offset in the Srcs
+// fill places the pieces in Blocks order (block-row by block-row, each
+// row column-ordered) in ONE Srcs and ONE Dst arena of exact size, writes
+// them, and returns their sub-blocks (EntryOff = offset in the Srcs
 // arena). Every sub-block's slices are cap-limited windows of the arenas:
 // the layout Flat describes, and an append can never reach a neighbour.
-func (bd *build) fill(order []*piece) []SubBlock {
+func (bd *build) fill() []SubBlock {
+	var n int
 	var entries, edges int64
-	for _, pc := range order {
-		pc.srcOff, pc.dstOff = entries, edges
-		entries += pc.entries
-		edges += pc.edges
+	for i := range bd.rows {
+		for k := range bd.rows[i] {
+			pc := &bd.rows[i][k]
+			pc.srcOff, pc.dstOff = entries, edges
+			entries += pc.entries
+			edges += pc.edges
+		}
+		n += len(bd.rows[i])
 	}
 	bd.srcs = make([]graph.Node, entries)
 	bd.dst = make([]uint32, edges)
-	blocks := make([]SubBlock, len(order))
-	for k, pc := range order {
-		sHi, dHi := pc.srcOff+pc.entries, pc.dstOff+pc.edges
-		blocks[k] = SubBlock{
-			BlockRow: pc.row, BlockCol: pc.col,
-			SrcLo: pc.srcLo, SrcHi: pc.srcHi,
-			Srcs:     bd.srcs[pc.srcOff:sHi:sHi],
-			Dst:      bd.dst[pc.dstOff:dHi:dHi],
-			EntryOff: pc.srcOff,
+	blocks := make([]SubBlock, 0, n)
+	for _, row := range bd.rows {
+		for _, pc := range row {
+			sHi, dHi := pc.srcOff+pc.entries, pc.dstOff+pc.edges
+			blocks = append(blocks, SubBlock{
+				BlockRow: pc.row, BlockCol: pc.col,
+				SrcLo: pc.srcLo, SrcHi: pc.srcHi,
+				Srcs:     bd.srcs[pc.srcOff:sHi:sHi],
+				Dst:      bd.dst[pc.dstOff:dHi:dHi],
+				EntryOff: pc.srcOff,
+			})
 		}
 	}
 	sched.ForWeighted(bd.weight, bd.threads, 0, func(lo, hi int) {

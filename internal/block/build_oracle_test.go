@@ -13,7 +13,7 @@ import (
 // refRow is the build this package used before the count/fill passes, kept
 // as the yardstick: one growing cell per block-column, appended to edge by
 // edge, then cut into pieces by a second scan over the cell's stream.
-func refRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges int64, keep func(j int) bool) []*SubBlock {
+func refRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges int64) []*SubBlock {
 	side := cfg.Side
 	lo, hi := i*side, min((i+1)*side, r)
 	type cell struct {
@@ -23,11 +23,7 @@ func refRow(ptr []int64, idx []graph.Node, r, i int, cfg Config, maxEdges int64,
 	cells := make([]cell, (r+side-1)/side)
 	for u := lo; u < hi; u++ {
 		for _, d := range idx[ptr[u]:ptr[u+1]] {
-			j := int(d) / side
-			if !keep(j) {
-				continue
-			}
-			c := &cells[j]
+			c := &cells[int(d)/side]
 			flag := uint32(0)
 			if cfg.DisableCompression || len(c.srcs) == 0 || c.srcs[len(c.srcs)-1] != graph.Node(u) {
 				c.srcs = append(c.srcs, graph.Node(u))
@@ -123,19 +119,18 @@ func arenaProperty(blocks []*SubBlock) error {
 	return nil
 }
 
-// checkAgainstReference builds (ptr, idx) both ways — single partition and,
-// for shards > 1, the sharded cut — and compares everything the build owns.
-func checkAgainstReference(ptr []int64, idx []graph.Node, r, shards int, cfg Config) error {
+// checkAgainstReference builds (ptr, idx) both ways and compares everything
+// the build owns.
+func checkAgainstReference(ptr []int64, idx []graph.Node, r int, cfg Config) error {
 	p, err := NewPartition(ptr, idx, r, cfg)
 	if err != nil {
 		return err
 	}
 	maxEdges := refMaxEdges(ptr[r], p.B, cfg)
-	all := func(int) bool { return true }
 	var want []*SubBlock
 	var splits int64
 	for i := 0; i < p.B; i++ {
-		row := refRow(ptr, idx, r, i, cfg, maxEdges, all)
+		row := refRow(ptr, idx, r, i, cfg, maxEdges)
 		for k, sb := range row {
 			if k > 0 && row[k-1].BlockCol == sb.BlockCol {
 				splits++
@@ -152,40 +147,7 @@ func checkAgainstReference(ptr []int64, idx []graph.Node, r, shards int, cfg Con
 	if err := arenaProperty(p.Blocks); err != nil {
 		return err
 	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if shards <= 1 {
-		return nil
-	}
-
-	sh, err := NewSharding(ptr, idx, r, shards, cfg)
-	if err != nil {
-		return err
-	}
-	want = nil
-	for s := 0; s < sh.S; s++ {
-		for t := 0; t < sh.S; t++ {
-			for i := sh.LoBlock[s]; t != s && i < sh.LoBlock[s+1]; i++ {
-				want = append(want, refRow(ptr, idx, r, i, cfg, maxEdges, func(j int) bool { return int(sh.BlockShard[j]) == t })...)
-			}
-		}
-	}
-	// Cut blocks are re-based into Exec's entry space; compare them at the
-	// offsets the build gave them, i.e. relative to the first cut entry.
-	cut := make([]*SubBlock, len(sh.Cut))
-	for k, sb := range sh.Cut {
-		cp := *sb
-		cp.EntryOff -= sh.CutEntryOff
-		cut[k] = &cp
-	}
-	if err := sameBlocks(cut, want); err != nil {
-		return fmt.Errorf("cut: %w", err)
-	}
-	if err := arenaProperty(sh.Cut); err != nil {
-		return fmt.Errorf("cut: %w", err)
-	}
-	return sh.Validate()
+	return p.Validate()
 }
 
 // skewedMultigraph draws m edges over r nodes with both endpoints cubed
@@ -217,10 +179,9 @@ func TestBuildMatchesReference(t *testing.T) {
 				for _, noComp := range []bool{false, true} {
 					for _, threads := range []int{1, 2, 4} {
 						cfg := Config{Side: side, MaxLoadFactor: lf, DisableCompression: noComp, Threads: threads}
-						shards := []int{1, 2, 4}[trial%3]
-						if err := checkAgainstReference(ptr, idx, r, shards, cfg); err != nil {
-							t.Fatalf("r=%d m=%d side=%d lf=%v noComp=%v threads=%d shards=%d: %v",
-								r, len(idx), side, lf, noComp, threads, shards, err)
+						if err := checkAgainstReference(ptr, idx, r, cfg); err != nil {
+							t.Fatalf("r=%d m=%d side=%d lf=%v noComp=%v threads=%d: %v",
+								r, len(idx), side, lf, noComp, threads, err)
 						}
 					}
 				}
@@ -249,12 +210,12 @@ func TestAppendCannotReachNeighbour(t *testing.T) {
 }
 
 // FuzzBuildMatchesReference: random edge list × side × load factor ×
-// compression × shards → reference-equal partition and cut.
+// compression → reference-equal partition.
 func FuzzBuildMatchesReference(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 3, 0, 3, 0, 7, 7}, uint8(2), uint8(0), false, uint8(1))
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 1, 9, 9, 1, 2, 2}, uint8(3), uint8(1), true, uint8(2))
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6}, uint8(1), uint8(40), false, uint8(4))
-	f.Fuzz(func(t *testing.T, raw []byte, side, lf uint8, noComp bool, shards uint8) {
+	f.Add([]byte{0, 1, 0, 2, 3, 0, 3, 0, 7, 7}, uint8(2), uint8(0), false)
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 1, 9, 9, 1, 2, 2}, uint8(3), uint8(1), true)
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6}, uint8(1), uint8(40), false)
+	f.Fuzz(func(t *testing.T, raw []byte, side, lf uint8, noComp bool) {
 		const r = 24
 		edges := make([]graph.Edge, len(raw)/2)
 		for e := range edges {
@@ -265,8 +226,8 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := Config{Side: 1 + int(side)%(r+3), MaxLoadFactor: float64(lf) / 16, DisableCompression: noComp, Threads: 2}
-		if err := checkAgainstReference(g.OutPtr, g.OutIdx, r, 1+int(shards)%4, cfg); err != nil {
-			t.Fatalf("side=%d lf=%v noComp=%v shards=%d: %v", cfg.Side, cfg.MaxLoadFactor, noComp, 1+int(shards)%4, err)
+		if err := checkAgainstReference(g.OutPtr, g.OutIdx, r, cfg); err != nil {
+			t.Fatalf("side=%d lf=%v noComp=%v: %v", cfg.Side, cfg.MaxLoadFactor, noComp, err)
 		}
 	})
 }

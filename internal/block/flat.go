@@ -59,9 +59,7 @@ type FlatBlock struct {
 // copied here — callers that need the concatenated arrays stream them
 // block-by-block in Blocks order, which is what the partio writer does.
 // (NewPartition already lays the blocks out as adjacent windows of one Srcs
-// and one Dst arena, i.e. in this very layout; a sharded Exec partition
-// draws its blocks from several such arenas, so streaming stays the one
-// way that serves both.)
+// and one Dst arena, i.e. in this very layout.)
 func (p *Partition) Flatten() Flat {
 	nb := len(p.Blocks)
 	fl := Flat{

@@ -21,8 +21,7 @@ import (
 // measurement: build a partition per candidate side, run a few probe
 // Main-Phase iterations on each, keep the fastest. The winning partition is
 // handed back to the constructor so tuning never builds the final partition
-// twice (on sharded engines only the chosen SIDE is reused — the sharding
-// rebuilds its own partitions at that side).
+// twice.
 const (
 	// tuneProbeIters is how many Main-Phase iterations one probe repetition
 	// times; tuneProbeRepeats repeats and keeps the minimum (classic

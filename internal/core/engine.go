@@ -40,13 +40,6 @@ type Config struct {
 	Side int
 	// Threads is the worker count; 0 uses all available cores.
 	Threads int
-	// Shards splits the regular submatrix into that many contiguous,
-	// block-aligned shards, each owning its own block.Partition, with
-	// cross-shard contributions routed through per-(source-shard,
-	// dest-shard) outbox bins (propagation blocking). Results are
-	// bit-identical to the single-partition engine; 0 or 1 keeps the
-	// single partition. See NewSharded / block.NewSharding.
-	Shards int
 	// Reorder applies a skew-aware lightweight reordering to the regular
 	// submatrix AFTER filtering (composing with — not replacing — the
 	// paper's connectivity-aware relabeling): node classes and the phase
@@ -187,12 +180,6 @@ type Engine struct {
 	P    *block.Partition
 	Prep PrepStats
 
-	// sh is the shard layout when the engine was built with Config.Shards
-	// > 1 (nil otherwise). P is then sh.Exec, the combined execution
-	// partition: shard-local blocks first, cut (outbox) blocks after, with
-	// identical per-destination fold order to the single-partition build.
-	sh *block.Sharding
-
 	// prebuilt marks an engine assembled from an already-built partition
 	// (NewFromPrebuilt over a .mixp mapping): Prep is zero — the whole
 	// point — and F.G is typically nil.
@@ -241,7 +228,6 @@ type engineMetrics struct {
 	sparseRows      *obs.Counter
 	scatterEntries  *obs.Counter
 	gatherEdges     *obs.Counter
-	exchangeEntries *obs.Counter
 	activeRows      *obs.Gauge
 	frontierDensity *obs.Gauge
 	preNs           *obs.Histogram
@@ -250,7 +236,6 @@ type engineMetrics struct {
 	scatterNs       *obs.Histogram
 	cacheNs         *obs.Histogram
 	gatherNs        *obs.Histogram
-	exchangeNs      *obs.Histogram
 	iterNs          *obs.Histogram
 }
 
@@ -265,7 +250,6 @@ func newEngineMetrics(c obs.Collector) engineMetrics {
 		sparseRows:      c.Counter("core.sparse_rows"),
 		scatterEntries:  c.Counter("core.scatter_entries"),
 		gatherEdges:     c.Counter("core.gather_edges"),
-		exchangeEntries: c.Counter("core.exchange_entries"),
 		activeRows:      c.Gauge("core.active_block_rows"),
 		frontierDensity: c.Gauge("core.frontier_density_permille"),
 		preNs:           c.Histogram("core.pre_ns"),
@@ -274,7 +258,6 @@ func newEngineMetrics(c obs.Collector) engineMetrics {
 		scatterNs:       c.Histogram("core.scatter_ns"),
 		cacheNs:         c.Histogram("core.cache_ns"),
 		gatherNs:        c.Histogram("core.gather_apply_ns"),
-		exchangeNs:      c.Histogram("core.exchange_ns"),
 		iterNs:          c.Histogram("core.iteration_ns"),
 	}
 }
@@ -341,24 +324,9 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		Threads:            cfg.Threads,
 		Collector:          col,
 	}
-	var p *block.Partition
-	var sh *block.Sharding
-	var err error
-	switch {
-	case cfg.Shards > 1:
-		sh, err = block.NewSharding(f.RegPtr, f.RegIdx, f.NumRegular, cfg.Shards, bcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharding: %w", err)
-		}
-		if sh.S <= 1 {
-			// The submatrix has too few blocks to split; run single-partition.
-			sh, p = nil, sh.Exec
-		} else {
-			p = sh.Exec
-		}
-	case tunedP != nil:
-		p = tunedP
-	default:
+	p := tunedP
+	if p == nil {
+		var err error
 		p, err = block.NewPartition(f.RegPtr, f.RegIdx, f.NumRegular, bcfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: partition: %w", err)
@@ -369,7 +337,6 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		F:         f,
 		P:         p,
-		sh:        sh,
 		Tuned:     tuned,
 		tunedSide: tunedSide,
 		Prep: PrepStats{
@@ -473,13 +440,6 @@ type RunStats struct {
 	// pre-empted it). Constant across runs; carried here so per-run
 	// reports are self-describing.
 	TunedSide int
-	// ExchangeEntries totals the outbox (cross-shard) bin entries written
-	// by Scatter across iterations on a sharded engine: a dense-mode row
-	// contributes its cut entries, a sparse-mode row its frontier's cut
-	// entries, a skipped row none. Always zero on a single-partition
-	// engine, and on untraced sharded runs (the untraced hot loop does no
-	// per-iteration accounting).
-	ExchangeEntries int64
 	// Trace is the per-iteration timeline, populated when Config.Trace is
 	// set (nil otherwise).
 	Trace []obs.IterationTrace
@@ -562,7 +522,7 @@ func (e *Engine) RunInWorkspaceCtx(ctx context.Context, prog vprog.Program, ws *
 // internal buffer. Result.Values aliases out, which survives subsequent
 // runs on the same workspace — the zero-copy path for serving layers
 // that keep the computed vector (e.g. a result cache) while reusing one
-// workspace across refinement runs.
+// workspace across runs.
 func (e *Engine) RunToCtx(ctx context.Context, prog vprog.Program, ws *Workspace, out []float64) (*vprog.Result, RunStats, error) {
 	if ws == nil || ws.eng != e {
 		return nil, RunStats{}, fmt.Errorf("core: workspace does not belong to this engine")
@@ -721,27 +681,7 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 			it.SparseRows = rc.sparseRows
 			it.ScatterEntries = rc.scatterEntries
 			mark := time.Now()
-			if e.sh == nil {
-				sched.ForRangeStop(len(e.P.Blocks), rc.threads, 1, rc.stopPtr, rc.scatterBody)
-			} else {
-				// Sharded engine: the scatter splits into the shard-local
-				// pass and the cross-shard exchange — the pass over the cut
-				// blocks that fills the per-(source-shard, dest-shard)
-				// outbox bins. Same bodies, same bins, same fold order; the
-				// split exists so the exchange is separately observable.
-				sched.ForRangeStop(e.sh.NumLocalBlocks, rc.threads, 1, rc.stopPtr, rc.scatterBody)
-				exStart := time.Now()
-				sched.ForRangeStop(len(e.P.Blocks)-e.sh.NumLocalBlocks, rc.threads, 1, rc.stopPtr, rc.cutScatterBody)
-				exEnd := time.Now()
-				it.ExchangeNs = exEnd.Sub(exStart).Nanoseconds()
-				it.ExchangeEntries = rc.exchangeEntries(e.sh)
-				stats.ExchangeEntries += it.ExchangeEntries
-				st.m.exchangeNs.Observe(it.ExchangeNs)
-				st.m.exchangeEntries.Add(it.ExchangeEntries)
-				for _, t := range reqTraces {
-					t.AddSpanIter(obs.SpanExchange, iter+1, exStart, exEnd)
-				}
-			}
+			sched.ForRangeStop(len(e.P.Blocks), rc.threads, 1, rc.stopPtr, rc.scatterBody)
 			if rc.sparseTotal > 0 {
 				sched.ForRangeStop(int(rc.sparseTotal), rc.threads, 0, rc.stopPtr, rc.sparseScatterBody)
 			}
@@ -848,9 +788,6 @@ func (e *Engine) EffectiveConfig() map[string]string {
 		"side":        strconv.Itoa(e.P.Side),
 		"threads":     strconv.Itoa(e.cfg.Threads),
 		"load_factor": strconv.FormatFloat(e.cfg.MaxLoadFactor, 'g', -1, 64),
-	}
-	if e.sh != nil {
-		cfg["shards"] = strconv.Itoa(e.sh.S)
 	}
 	if e.cfg.DisableCache {
 		cfg["cache"] = "off"

@@ -16,10 +16,10 @@ import (
 // queries exactly like one built from edges.
 //
 // Build-time decisions travel with the partition, so cfg must not ask for
-// them again: a non-zero Side that disagrees with p, a Reorder strategy,
-// AutoTune, or Shards > 1 are errors — re-run mixenconvert to bake a
-// different layout. Run-time knobs (Threads, SparseDensity, Trace,
-// Collector, the Disable* execution toggles) apply normally.
+// them again: a non-zero Side that disagrees with p, a Reorder strategy or
+// AutoTune are errors — re-run mixenconvert to bake a different layout.
+// Run-time knobs (Threads, SparseDensity, Trace, Collector, the Disable*
+// execution toggles) apply normally.
 func NewFromPrebuilt(f *filter.Filtered, p *block.Partition, cfg Config) (*Engine, error) {
 	if f == nil || p == nil {
 		return nil, fmt.Errorf("core: prebuilt: nil filtered form or partition")
@@ -35,9 +35,6 @@ func NewFromPrebuilt(f *filter.Filtered, p *block.Partition, cfg Config) (*Engin
 	}
 	if cfg.AutoTune {
 		return nil, fmt.Errorf("core: prebuilt: auto-tuning is a build-time decision; rebuild the file with -autotune")
-	}
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("core: prebuilt: sharding needs the regular CSR, which prebuilt partitions do not carry")
 	}
 	cfg = cfg.withDefaults()
 	cfg.Side = p.Side

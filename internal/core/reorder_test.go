@@ -6,10 +6,24 @@ import (
 	"testing"
 
 	"mixen/internal/algo"
+	"mixen/internal/gen"
 	"mixen/internal/graph"
 	"mixen/internal/reorder"
 	"mixen/internal/vprog"
 )
+
+func reorderTestGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := gen.Skewed(gen.SkewedConfig{
+		N: 2000, M: 16000,
+		RegularFrac: 0.4, SeedFrac: 0.3, SinkFrac: 0.2,
+		ZipfS: 1.3, ZipfV: 1, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // exactProgs builds the order-exact program matrix of the reorder identity
 // sweep: integer Sum folds (in-degree) and Min folds (BFS, CC) are
@@ -58,7 +72,7 @@ func exactProgs(t *testing.T, g *graph.Graph) []struct {
 // only relocates rows inside the regular range, it must not change what
 // any node computes.
 func TestReorderMatchesUnreorderedAllStrategies(t *testing.T) {
-	g := shardedTestGraph(t)
+	g := reorderTestGraph(t)
 	progs := exactProgs(t, g)
 	for _, sparse := range []bool{false, true} {
 		base := Config{Side: 128, Threads: 2, DisableSparse: !sparse}
@@ -113,7 +127,7 @@ func TestReorderMatchesUnreorderedAllStrategies(t *testing.T) {
 // tolerance check pins that the reordering changes association only, not
 // the computation.
 func TestReorderPageRankWithinTolerance(t *testing.T) {
-	g := shardedTestGraph(t)
+	g := reorderTestGraph(t)
 	baseline, err := New(g, Config{Side: 128, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -139,36 +153,10 @@ func TestReorderPageRankWithinTolerance(t *testing.T) {
 	}
 }
 
-// Reordering must compose with sharding: the permutation runs before the
-// sharded partition build, and the sharded engine's exchange keeps its
-// bit-identity guarantee on top of it.
-func TestReorderComposesWithShards(t *testing.T) {
-	g := shardedTestGraph(t)
-	baseline, err := New(g, Config{Side: 128, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := baseline.Run(algo.NewInDegree(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(g, Config{Side: 128, Threads: 2, Shards: 3, Reorder: reorder.HubSort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Run(algo.NewInDegree(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameValues(got.Values, want.Values) {
-		t.Fatal("hubsort + shards=3 values differ from plain engine")
-	}
-}
-
 // RCM needs adjacency and must be rejected at construction, not silently
 // ignored.
 func TestReorderRejectsRCM(t *testing.T) {
-	g := shardedTestGraph(t)
+	g := reorderTestGraph(t)
 	if _, err := New(g, Config{Reorder: reorder.RCM}); err == nil {
 		t.Fatal("expected RCM rejection")
 	}
@@ -178,7 +166,7 @@ func TestReorderRejectsRCM(t *testing.T) {
 }
 
 func TestAutoTuneSelectsCandidateSide(t *testing.T) {
-	g := shardedTestGraph(t)
+	g := reorderTestGraph(t)
 	e, err := New(g, Config{Threads: 2, AutoTune: true})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +223,7 @@ func TestAutoTuneSelectsCandidateSide(t *testing.T) {
 
 // An explicit Side always wins over AutoTune: the tuner must not run.
 func TestAutoTuneExplicitSideWins(t *testing.T) {
-	g := shardedTestGraph(t)
+	g := reorderTestGraph(t)
 	e, err := New(g, Config{Side: 128, Threads: 2, AutoTune: true})
 	if err != nil {
 		t.Fatal(err)
@@ -255,37 +243,6 @@ func TestAutoTuneExplicitSideWins(t *testing.T) {
 	}
 	if stats.TunedSide != 0 {
 		t.Fatalf("RunStats.TunedSide = %d, want 0", stats.TunedSide)
-	}
-}
-
-// AutoTune composes with Shards: the tuner picks the side, the sharding
-// rebuilds at that side, results stay identical to the plain engine.
-func TestAutoTuneComposesWithShards(t *testing.T) {
-	g := shardedTestGraph(t)
-	e, err := New(g, Config{Threads: 2, AutoTune: true, Shards: 2, Reorder: reorder.DBG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Tuned) == 0 {
-		t.Fatal("tuner did not run under shards")
-	}
-	if e.P.Side != e.TunedSide() {
-		t.Fatalf("sharded partition side %d != tuned side %d", e.P.Side, e.TunedSide())
-	}
-	baseline, err := New(g, Config{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := baseline.Run(algo.NewInDegree(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Run(algo.NewInDegree(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameValues(got.Values, want.Values) {
-		t.Fatal("autotune+shards+dbg values differ from plain engine")
 	}
 }
 

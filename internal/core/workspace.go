@@ -141,11 +141,7 @@ type runCtx struct {
 
 	initBody, seedPushBody, seedReduceBody, sinkBody func(lo, hi int)
 
-	scatterBody func(lo, hi int)
-	// cutScatterBody is scatterBody shifted past the shard-local blocks:
-	// index i covers Blocks[NumLocalBlocks+i], the cut (outbox) blocks of
-	// a sharded engine's exchange pass. Nil on single-partition engines.
-	cutScatterBody    func(lo, hi int)
+	scatterBody       func(lo, hi int)
 	sparseScatterBody func(lo, hi int)
 	cacheBody         func(lo, hi int)
 	gatherBody        func(lo, hi int)
@@ -326,10 +322,6 @@ func (rc *runCtx) buildBodies() {
 	// Bins are disjoint per sub-block, so no synchronisation is needed;
 	// empty rows keep their previous (still valid) bin contents and
 	// sparse rows are handled by sparseScatterBody.
-	if sh := rc.e.sh; sh != nil {
-		nl := sh.NumLocalBlocks
-		rc.cutScatterBody = func(lo, hi int) { rc.scatterBody(lo+nl, hi+nl) }
-	}
 	rc.scatterBody = func(lo, hi int) {
 		blocks := rc.e.P.Blocks
 		x, scale, w, ring := rc.x, rc.scale, rc.w, rc.ring

@@ -59,12 +59,6 @@ type IterationTrace struct {
 	// entries (re)written by Scatter and edges replayed by Gather.
 	ScatterEntries int64 `json:"scatter_entries,omitempty"`
 	GatherEdges    int64 `json:"gather_edges,omitempty"`
-	// ExchangeNs / ExchangeEntries cover the cross-shard exchange on a
-	// sharded engine: the time spent filling outbox bins from cut blocks
-	// (a subset of ScatterNs' wall window) and the outbox entries written.
-	// Zero on single-partition engines.
-	ExchangeNs      int64 `json:"exchange_ns,omitempty"`
-	ExchangeEntries int64 `json:"exchange_entries,omitempty"`
 }
 
 // TotalNs returns the iteration's traced time.

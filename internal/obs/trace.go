@@ -40,18 +40,11 @@ const (
 	SpanFuse      SpanKind = "fuse"
 	SpanPrePhase  SpanKind = "pre_phase"
 	SpanIteration SpanKind = "iteration"
-	// SpanExchange covers one iteration's cross-shard exchange on a
-	// sharded engine: the Scatter pass over the cut blocks that fills the
-	// per-(source-shard, dest-shard) outbox bins.
-	SpanExchange  SpanKind = "exchange"
 	SpanPostPhase SpanKind = "post_phase"
 	SpanDemux     SpanKind = "demux"
 	// SpanCache covers the serving-layer result-cache lookup (hit, miss
 	// or singleflight wait) for one query source.
 	SpanCache SpanKind = "cache"
-	// SpanRefine covers a warm-start refinement run: resuming PPR at
-	// full tolerance from a cached coarse vector.
-	SpanRefine SpanKind = "refine"
 )
 
 // maxTraceSpans caps the spans stored per trace. A 1000-iteration run

@@ -117,8 +117,7 @@ type Cache struct {
 // New builds a Cache bounded to maxBytes with per-entry lifetime ttl
 // (ttl <= 0 disables expiry). Instruments register under "<name>." on c
 // (pass nil or obs.Nop{} to discard); name defaults to "servecache",
-// letting one process run several caches (results, warm vectors) with
-// separate metrics.
+// letting one process run several caches with separate metrics.
 func New(name string, maxBytes int64, ttl time.Duration, c obs.Collector) *Cache {
 	if name == "" {
 		name = "servecache"

@@ -26,8 +26,8 @@ import (
 type Params struct {
 	// Algo is the algorithm name ("pagerank", "ppr", "bfs", "indegree").
 	Algo string
-	// Mode distinguishes result flavours of one computation: "exact",
-	// "warm" (coarse-tolerance vector) and "refined" (resumed from warm).
+	// Mode distinguishes result flavours of one computation; the server
+	// caches only "exact" results.
 	Mode string
 	// Damping is the PageRank/PPR damping factor; 0 for algorithms
 	// without one.

@@ -48,7 +48,6 @@ import (
 	"mixen/internal/algo"
 	"mixen/internal/analyze"
 	"mixen/internal/baseline"
-	"mixen/internal/block"
 	"mixen/internal/core"
 	"mixen/internal/filter"
 	"mixen/internal/gen"
@@ -220,44 +219,10 @@ type MixenEngine = core.Engine
 // serves one run at a time.
 type Workspace = core.Workspace
 
-// New preprocesses g with Mixen's filtering and blocking. Setting
-// Config.Shards > 1 builds the engine sharded (see BuildSharded) while
-// keeping the *MixenEngine return type, so serving paths opt into sharding
-// by configuration alone. The blocked layout keeps destination ids in 31
-// bits, so New returns an error for a graph with more than 2³¹ regular
-// nodes.
+// New preprocesses g with Mixen's filtering and blocking. The blocked
+// layout keeps destination ids in 31 bits, so New returns an error for a
+// graph with more than 2³¹ regular nodes.
 func New(g *Graph, cfg Config) (*MixenEngine, error) { return core.New(g, cfg) }
-
-// ShardedMixenEngine is a MixenEngine whose regular submatrix is split
-// into Config.Shards contiguous block-aligned shards, each owning its own
-// partition, with cross-shard contributions routed through
-// per-(source-shard, dest-shard) outbox bins (propagation blocking).
-// Results are bit-identical to the single-partition engine for every
-// algorithm, width and sparse/dense mode. The embedded MixenEngine runs
-// everything unchanged — Run, RunCtx, workspaces, the Batcher.
-type ShardedMixenEngine = core.ShardedEngine
-
-// ShardLayout describes a sharded engine's shard boundaries, per-shard
-// partitions and outbox geometry; see MixenEngine.Sharding (nil on
-// single-partition engines).
-type ShardLayout = block.Sharding
-
-// BuildSharded preprocesses g into a sharded engine with cfg.Shards
-// shards (at least 2; the count is clamped down when the regular
-// submatrix has fewer block-rows than requested shards).
-func BuildSharded(g *Graph, cfg Config) (*ShardedMixenEngine, error) {
-	return core.NewSharded(g, cfg)
-}
-
-// ShardStat is one shard's share of the graph: nodes, hubs, local edges,
-// and the outbox/inbox edges it exchanges with other shards.
-type ShardStat = core.ShardStat
-
-// ShardBalance reports per-shard node/edge/hub balance and exchange
-// traffic for a sharded engine (cmd/mixenstats -shards).
-func ShardBalance(e *ShardedMixenEngine) []ShardStat {
-	return core.ShardStats(e.Sharding(), e.F.NumHub)
-}
 
 // NewEngine constructs a named engine over g: "mixen", "pull"
 // (GraphMat-like), "push" (Ligra-like), "polymer" (Polymer-like) or
@@ -319,24 +284,6 @@ func NewPageRankProgramShared(n int, deg []float64, damping, tol float64, maxIte
 // serving paths that build one program per request.
 func NewPersonalizedPageRankProgramShared(n int, deg []float64, source uint32, damping, tol float64, maxIter int) Program {
 	return algo.NewPersonalizedPageRankShared(n, deg, source, damping, tol, maxIter)
-}
-
-// NewPersonalizedPageRankResumeProgramShared builds a PPR program that
-// resumes iteration from warm — a previously computed vector for the
-// same (source, damping), len n in original id order — instead of the
-// teleport distribution, converging at tol in fewer iterations the
-// closer warm already is. The power iteration contracts to the same
-// fixed point from any start, but resumed results are NOT bit-identical
-// to from-scratch runs; serving layers must label them approximate.
-// warm and deg are shared, never written.
-func NewPersonalizedPageRankResumeProgramShared(n int, deg []float64, source uint32, damping, tol float64, maxIter int, warm []float64) Program {
-	return algo.NewPersonalizedPageRankResumeShared(n, deg, source, damping, tol, maxIter, warm)
-}
-
-// NewPageRankResumeProgramShared is the PageRank warm-start analogue of
-// NewPersonalizedPageRankResumeProgramShared.
-func NewPageRankResumeProgramShared(n int, deg []float64, damping, tol float64, maxIter int, warm []float64) Program {
-	return algo.NewPageRankResumeShared(n, deg, damping, tol, maxIter, warm)
 }
 
 // BatchProgram fuses K independent same-ring programs into one width-ΣWᵢ

@@ -25,14 +25,10 @@ type PartitionOpenOptions = partio.Options
 // file that OpenPartition maps back with zero deserialization.
 //
 // Build the engine with New (optionally with Config.Reorder/AutoTune so
-// the tuned layout is baked in); sharded engines cannot be serialized —
-// shard layouts are an execution arrangement, not persistent state.
+// the tuned layout is baked in).
 func WritePartition(path string, e *MixenEngine) error {
 	if e == nil {
 		return fmt.Errorf("mixen: WritePartition: nil engine")
-	}
-	if e.Sharding() != nil {
-		return fmt.Errorf("mixen: WritePartition: sharded engines cannot be serialized; build with Shards <= 1 (a mapped partition serves shard-identical results anyway)")
 	}
 	g := e.Graph()
 	if g == nil {
@@ -63,8 +59,8 @@ type MappedEngine struct {
 // filter pass, no partitioning, no copies of the arrays. Header,
 // architecture and checksum are verified first (see PartitionOpenOptions).
 // Run-time Config knobs (Threads, SparseDensity, Trace, Collector, the
-// Disable* toggles) apply; build-time ones (Side, Reorder, AutoTune,
-// Shards) are baked into the file and rejected if they conflict.
+// Disable* toggles) apply; build-time ones (Side, Reorder, AutoTune) are
+// baked into the file and rejected if they conflict.
 //
 // Files are used in place, never converted: one written in an older format
 // version (before version 2's flag-delimited destination streams) is

@@ -85,7 +85,7 @@ func compareValues(t *testing.T, label string, want, got []float64) {
 // TestMappedBitIdentitySweep is the tentpole's correctness gate: an engine
 // assembled from a mapped .mixp file must produce bit-identical results to
 // engines built from edges, across algorithms x widths x dense/sparse
-// execution x sharded reference engines S in {1, 2, 4}.
+// execution.
 func TestMappedBitIdentitySweep(t *testing.T) {
 	g := sweepGraph(t)
 	path := writeSweepPartition(t, g)
@@ -128,43 +128,6 @@ func TestMappedBitIdentitySweep(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("sharded_reference", func(t *testing.T) {
-		me, err := OpenPartition(path, Config{})
-		if err != nil {
-			t.Fatalf("OpenPartition: %v", err)
-		}
-		defer me.Close()
-		for _, shards := range []int{1, 2, 4} {
-			var ref interface {
-				Run(Program) (*Result, error)
-			}
-			if shards == 1 {
-				e, err := New(g, Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref = e
-			} else {
-				e, err := BuildSharded(g, Config{Shards: shards})
-				if err != nil {
-					t.Fatalf("BuildSharded(%d): %v", shards, err)
-				}
-				ref = e
-			}
-			for name := range sweepPrograms(t, g, n, deg) {
-				refRes, err := ref.Run(sweepPrograms(t, g, n, deg)[name])
-				if err != nil {
-					t.Fatalf("S=%d %s: sharded run: %v", shards, name, err)
-				}
-				mapRes, err := me.Run(sweepPrograms(t, nil, n, me.OutDegrees())[name])
-				if err != nil {
-					t.Fatalf("S=%d %s: mapped run: %v", shards, name, err)
-				}
-				compareValues(t, name, refRes.Values, mapRes.Values)
-			}
-		}
-	})
 }
 
 // TestConcurrentOpenPartition: two independent OpenPartition callers on

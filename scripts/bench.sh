@@ -4,8 +4,7 @@
 # Runs the width-sweep microbenchmarks (including the width-1 zero-alloc
 # entry), the engine-level BenchmarkPageRank, the serving hot-path,
 # load-shed and cached-query microbenchmarks (cmd/mixenserve), the
-# sparse-frontier study, the shard-scaling experiment (S=1/2/4 on the
-# skewed presets), the skew-aware reordering + block auto-tuning study
+# sparse-frontier study, the skew-aware reordering + block auto-tuning study
 # (mixenbench -experiment reorder), the mmap cold-start study (mixenbench
 # -experiment coldstart), and the serving-cache zipf replay study
 # (mixenbench -experiment serve — cache-on/off p50/p99/QPS/hit-rate with
@@ -31,14 +30,12 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
   count="${BENCH_COUNT:-3}"
   shrink="${BENCH_SHRINK:-32}"
   graphs="${BENCH_GRAPHS:-wiki}"
-  shard_graphs="${BENCH_SHARD_GRAPHS:-wiki}"
   reorder_graphs="${BENCH_REORDER_GRAPHS:-wiki}"
   coldstart_graphs="${BENCH_COLDSTART_GRAPHS:-wiki}"
 else
   count="${BENCH_COUNT:-7}"
   shrink="${BENCH_SHRINK:-8}"
   graphs="${BENCH_GRAPHS:-weibo,wiki,rmat}"
-  shard_graphs="${BENCH_SHARD_GRAPHS:-weibo,wiki}"
   reorder_graphs="${BENCH_REORDER_GRAPHS:-weibo,wiki,road}"
   coldstart_graphs="${BENCH_COLDSTART_GRAPHS:-wiki,weibo,rmat}"
 fi
@@ -59,18 +56,13 @@ go test -run=NONE -bench 'BenchmarkServe' -benchmem -count="$count" \
 
 echo ">> sparse-frontier study (mixenbench -experiment frontier)" >&2
 fronttxt="$(mktemp)"
-shardtxt="$(mktemp)"
 reordertxt="$(mktemp)"
 coldtxt="$(mktemp)"
 servetxt="$(mktemp)"
 benchstattxt="$(mktemp)"
-trap 'rm -f "$fronttxt" "$shardtxt" "$reordertxt" "$coldtxt" "$servetxt" "$benchstattxt"' EXIT
+trap 'rm -f "$fronttxt" "$reordertxt" "$coldtxt" "$servetxt" "$benchstattxt"' EXIT
 go run ./cmd/mixenbench -experiment frontier -graphs "$graphs" \
     -shrink "$shrink" | tee "$fronttxt" >&2
-
-echo ">> shard-scaling study (mixenbench -experiment shard, S=1/2/4)" >&2
-go run ./cmd/mixenbench -experiment shard -graphs "$shard_graphs" \
-    -shrink "$shrink" | tee "$shardtxt" >&2
 
 echo ">> reordering + auto-tuning study (mixenbench -experiment reorder)" >&2
 go run ./cmd/mixenbench -experiment reorder -graphs "$reorder_graphs" \
@@ -100,7 +92,7 @@ fi
 
 {
   echo '{'
-  echo '  "bench": "PR10 serving-layer result cache + approx fast path",'
+  echo '  "bench": "PR10 serving-layer result cache",'
   echo "  \"go\": \"$(go env GOVERSION)\","
   echo "  \"commit\": \"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)\","
 
@@ -130,17 +122,6 @@ fi
       sep, $1, $2, $3, $4, sp, $6, $7, lf, $9, $10, $11
     sep = ",\n"
   } END { print "" }' "$fronttxt"
-  echo '  ],'
-
-  # Parsed shard-study rows:
-  # Graph shards cut% prep_sec main_s/iter speedup identical.
-  echo '  "shard_study": ['
-  awk '$2 ~ /^[0-9]+$/ && $1 != "Graph" && NF >= 7 {
-    cf = $3; sub(/%$/, "", cf)
-    printf "%s    {\"graph\": \"%s\", \"shards\": %s, \"cut_pct\": %s, \"prep_sec\": %s, \"main_sec_per_iter\": %s, \"speedup\": %s, \"identical\": %s}", \
-      sep, $1, $2, cf, $4, $5, $6, $7
-    sep = ",\n"
-  } END { print "" }' "$shardtxt"
   echo '  ],'
 
   # Parsed reorder-study rows:
@@ -183,15 +164,6 @@ fi
   awk '$2 ~ /^(on|off)$/ && NF == 10 {
     printf "%s    {\"skew\": %s, \"cache\": \"%s\", \"queries\": %s, \"hot_set\": %s, \"warm_hit_pct\": %s, \"hit_pct\": %s, \"p50_ms\": %s, \"p99_ms\": %s, \"qps\": %s, \"identical\": %s}", \
       sep, $1, $2, $3, $4, $5, $6, $7, $8, $9, $10
-    sep = ",\n"
-  } END { print "" }' "$servetxt"
-  echo '  ],'
-
-  # The serve study's approx fast-path check line, verbatim.
-  echo '  "serve_approx": ['
-  awk '/^approx:/ {
-    gsub(/\\/, "\\\\"); gsub(/"/, "\\\""); gsub(/\t/, " ")
-    printf "%s    \"%s\"", sep, $0
     sep = ",\n"
   } END { print "" }' "$servetxt"
   echo '  ],'
