@@ -1,12 +1,11 @@
 // Command mixenconvert converts graphs between the text edge-list format
 // and the CSR binary format Mixen/GPOP consume directly, and can persist
-// the preprocessed (filtered) form or a ready-to-mmap partition alongside.
+// a ready-to-mmap partition alongside.
 //
 // Usage:
 //
 //	mixenconvert -in graph.txt -out graph.bin              # text -> binary
 //	mixenconvert -in graph.bin -out graph.txt              # binary -> text
-//	mixenconvert -in graph.txt -out graph.bin -filtered graph.mixf
 //	mixenconvert -preset wiki -shrink 8 -out wiki.bin      # generate preset
 //	mixenconvert -preset wiki -partition wiki.mixp -reorder hubsort -autotune
 //
@@ -17,7 +16,7 @@
 // serving instantly by mapping it.
 //
 // Flag combinations are validated up front: exactly one input source
-// (-in or -preset), at least one output (-out, -filtered, -partition),
+// (-in or -preset), at least one output (-out, -partition),
 // -shrink only with -preset, and the layout flags (-reorder, -autotune,
 // -side) only with -partition.
 package main
@@ -52,7 +51,6 @@ func run(args []string, stderr io.Writer) error {
 	preset := fs.String("preset", "", "generate a dataset preset instead of reading -in")
 	shrink := fs.Int("shrink", 8, "preset shrink factor")
 	out := fs.String("out", "", "output graph path")
-	filteredPath := fs.String("filtered", "", "also write the preprocessed filtered form here")
 	partitionPath := fs.String("partition", "", "write a ready-to-mmap .mixp partition here")
 	reorderFlag := fs.String("reorder", "", "bake a submatrix reorder strategy into -partition (hubsort, hubcluster, dbg, ...)")
 	autotune := fs.Bool("autotune", false, "bake the measured block-side auto-tuner's pick into -partition")
@@ -75,8 +73,8 @@ func run(args []string, stderr io.Writer) error {
 		return usageError{"specify -in or -preset"}
 	case set["shrink"] && !set["preset"]:
 		return usageError{"-shrink only applies to -preset generation"}
-	case *out == "" && *filteredPath == "" && *partitionPath == "":
-		return usageError{"nothing to do: specify -out, -filtered and/or -partition"}
+	case *out == "" && *partitionPath == "":
+		return usageError{"nothing to do: specify -out and/or -partition"}
 	case *partitionPath == "" && (set["reorder"] || set["autotune"] || set["side"] || set["threads"]):
 		return usageError{"-reorder, -autotune, -side and -threads only apply to a -partition build"}
 	case set["reorder"] && *reorderFlag == "":
@@ -94,14 +92,6 @@ func run(args []string, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", *out)
-	}
-	if *filteredPath != "" {
-		f := mixen.Filter(g)
-		if err := writeFiltered(f, *filteredPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote filtered form %s (alpha=%.3f beta=%.3f)\n",
-			*filteredPath, f.Alpha(), f.Beta())
 	}
 	if *partitionPath != "" {
 		eng, err := mixen.New(g, mixen.Config{
@@ -133,15 +123,6 @@ func run(args []string, stderr io.Writer) error {
 			*partitionPath, st.Size(), eng.P.Side, reo, tuned)
 	}
 	return nil
-}
-
-func writeFiltered(f *mixen.Filtered, path string) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	return f.WriteBinary(fh)
 }
 
 func isBinary(path string) bool {

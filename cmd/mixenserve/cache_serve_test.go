@@ -299,7 +299,7 @@ func jsonDecode(rec *httptest.ResponseRecorder, v any) error {
 }
 
 // BenchmarkServeCachedQuery measures the cached serving path end to end
-// and reports the p99 latency (the serve-study gate metric).
+// and reports the p99 latency.
 func BenchmarkServeCachedQuery(b *testing.B) {
 	s := newTestServer(b, serverConfig{cacheBytes: 1 << 22, maxConcurrent: 8, maxQueue: 64})
 	const q = "/v1/query?algo=ppr&source=3&iters=20&tol=0&top=10"

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mixen"
+	"mixen/internal/algo"
 	"mixen/internal/obs"
 	"mixen/internal/servecache"
 )
@@ -409,16 +410,17 @@ func parseQuery(v url.Values, n int, cfg serverConfig) (querySpec, error) {
 		return querySpec{}, fmt.Errorf("algo %q takes no source parameter", q.algo)
 	}
 	if raw := v.Get("damping"); raw != "" {
-		q.damping, err = strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(q.damping) || q.damping <= 0 || q.damping >= 1 {
+		if q.damping, err = strconv.ParseFloat(raw, 64); err != nil {
 			return querySpec{}, fmt.Errorf("damping must be in (0, 1), got %q", raw)
 		}
 	}
 	if raw := v.Get("tol"); raw != "" {
-		q.tol, err = strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(q.tol) || math.IsInf(q.tol, 0) || q.tol < 0 {
+		if q.tol, err = strconv.ParseFloat(raw, 64); err != nil {
 			return querySpec{}, fmt.Errorf("tol must be finite and >= 0, got %q", raw)
 		}
+	}
+	if err := (algo.Args{N: n, Sources: q.sources, Rank: true, Damping: q.damping, Tol: q.tol}).Check(); err != nil {
+		return querySpec{}, err
 	}
 	if raw := v.Get("iters"); raw != "" {
 		q.iters, err = strconv.Atoi(raw)

@@ -1,7 +1,8 @@
-// Package bench is the experiment harness: one driver per table/figure of
-// the paper's evaluation (§6), producing the same rows/series the paper
-// reports. cmd/mixenbench and the root bench_test.go are thin wrappers
-// around it.
+// Package bench reproduces the paper's evaluation (§6): one driver per
+// table and figure, producing the rows and series the paper reports, plus
+// the studies behind its design claims. cmd/mixenbench is a thin wrapper
+// around it. Performance claims about this implementation are measured by
+// the benchmark/ harness, not here.
 //
 // Per-experiment index (see DESIGN.md):
 //
@@ -13,6 +14,10 @@
 //	Fig 5    L2 references (hits/misses)        -> Fig5
 //	Fig 6    exec time vs block size            -> Fig6
 //	Fig 7    LLC hits & traffic vs block size   -> Fig7
+//	§4–5     design-choice ablation             -> Ablation
+//	§3, §5   analytic vs implemented traffic    -> ModelStudy
+//	§6.3     Pre/Main/Post-Phase split          -> PhaseStudy
+//	layout   Config.Reorder / AutoTune oracle   -> ReorderStudy, AutotuneStudy
 package bench
 
 import (

@@ -260,27 +260,6 @@ func TestAblationStructure(t *testing.T) {
 	}
 }
 
-func TestThreadSweepStructure(t *testing.T) {
-	rows, err := ThreadSweep(Options{Shrink: 256, Iters: 2, Graphs: []string{"wiki"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("empty sweep")
-	}
-	if rows[0].Threads != 1 {
-		t.Fatal("sweep must start at one thread")
-	}
-	for _, r := range rows {
-		if r.Seconds <= 0 || r.Speedup <= 0 {
-			t.Errorf("threads=%d: non-positive measurement", r.Threads)
-		}
-	}
-	if !strings.Contains(FormatThreadSweep(rows), "speedup") {
-		t.Error("formatted sweep missing header")
-	}
-}
-
 func TestReorderStudyStructure(t *testing.T) {
 	rows, err := ReorderStudy(Options{Shrink: 256, Iters: 2, Graphs: []string{"wiki"}})
 	if err != nil {

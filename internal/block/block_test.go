@@ -429,6 +429,16 @@ func TestEntryOffsetsIndexFlatBins(t *testing.T) {
 	if t1, t4 := p.TrafficPerIteration(1, true), p.TrafficPerIteration(4, true); t4 <= t1 {
 		t.Fatalf("traffic should grow with width: w=1 %d, w=4 %d", t1, t4)
 	}
+	// Fusing k queries into one width-k pass streams the topology once, so
+	// modelled traffic per query never rises with k.
+	prev := int64(-1)
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		perQuery := p.TrafficPerIteration(k, true) / int64(k)
+		if prev >= 0 && perQuery > prev {
+			t.Fatalf("model traffic per query rose to %d B at k=%d from %d B", perQuery, k, prev)
+		}
+		prev = perQuery
+	}
 }
 
 func TestSourceEntryIndexReplaysBlocks(t *testing.T) {

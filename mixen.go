@@ -326,6 +326,9 @@ func NewBatcher(e *MixenEngine, cfg BatcherConfig) *Batcher { return core.NewBat
 // in a single fused width-K pass on Mixen, returning one value slice per
 // source. Each slice is bit-identical to running that query alone.
 func PersonalizedPageRanks(g *Graph, sources []uint32, damping, tol float64, maxIter int) ([][]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Sources: sources, Rank: true, Damping: damping, Tol: tol}).Check(); err != nil {
+		return nil, err
+	}
 	e, err := New(g, Config{})
 	if err != nil {
 		return nil, err
@@ -345,6 +348,9 @@ func PersonalizedPageRanks(g *Graph, sources []uint32, damping, tol float64, max
 // fused width-K pass on Mixen, returning per-node hop counts per source
 // (+Inf when unreachable).
 func MultiSourceBFS(g *Graph, sources []uint32) ([][]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Sources: sources}).Check(); err != nil {
+		return nil, err
+	}
 	e, err := New(g, Config{})
 	if err != nil {
 		return nil, err
@@ -377,6 +383,9 @@ func RunCtx(ctx context.Context, e Engine, prog Program) (*Result, error) {
 // entry and the power iteration is cancelled cooperatively at iteration
 // boundaries, returning ctx.Err().
 func PageRankCtx(ctx context.Context, g *Graph, damping, tol float64, maxIter int) ([]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Rank: true, Damping: damping, Tol: tol}).Check(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -394,6 +403,9 @@ func PageRankCtx(ctx context.Context, g *Graph, damping, tol float64, maxIter in
 // BFSCtx is BFS under a context (cooperative cancellation at iteration
 // boundaries).
 func BFSCtx(ctx context.Context, g *Graph, source uint32) ([]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Sources: []uint32{source}}).Check(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -412,6 +424,9 @@ func BFSCtx(ctx context.Context, g *Graph, source uint32) ([]float64, error) {
 // single fused width-K pass is cancelled cooperatively, so one deadline
 // bounds all K queries together.
 func PersonalizedPageRanksCtx(ctx context.Context, g *Graph, sources []uint32, damping, tol float64, maxIter int) ([][]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Sources: sources, Rank: true, Damping: damping, Tol: tol}).Check(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -445,8 +460,13 @@ func InDegree(g *Graph) ([]float64, error) {
 	return res.Values, nil
 }
 
-// PageRank runs damped PageRank on Mixen until |Δ|₁ < tol or maxIter.
+// PageRank runs damped PageRank on Mixen until |Δ|₁ < tol or maxIter. It
+// returns an error without running when damping is outside (0, 1) or tol
+// is NaN, infinite or negative; the other PageRank helpers share the rule.
 func PageRank(g *Graph, damping, tol float64, maxIter int) ([]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Rank: true, Damping: damping, Tol: tol}).Check(); err != nil {
+		return nil, err
+	}
 	e, err := New(g, Config{})
 	if err != nil {
 		return nil, err
@@ -459,8 +479,12 @@ func PageRank(g *Graph, damping, tol float64, maxIter int) ([]float64, error) {
 }
 
 // BFS runs breadth-first search from source on Mixen and returns per-node
-// hop counts (+Inf when unreachable).
+// hop counts (+Inf when unreachable). A source not below g.NumNodes() is an
+// error here and in every helper that takes sources.
 func BFS(g *Graph, source uint32) ([]float64, error) {
+	if err := (algo.Args{N: g.NumNodes(), Sources: []uint32{source}}).Check(); err != nil {
+		return nil, err
+	}
 	e, err := New(g, Config{})
 	if err != nil {
 		return nil, err
@@ -694,9 +718,3 @@ type Filtered = filter.Filtered
 
 // Filter runs only the filtering/relabeling stage.
 func Filter(g *Graph) *Filtered { return filter.Filter(g) }
-
-// ReadFiltered loads a preprocessed filtered form (written with
-// Filtered.WriteBinary) and re-attaches it to g, validating consistency.
-func ReadFiltered(r io.Reader, g *Graph) (*Filtered, error) {
-	return filter.ReadBinary(r, g)
-}

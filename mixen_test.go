@@ -1,7 +1,7 @@
 package mixen
 
 import (
-	"bytes"
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -209,22 +209,64 @@ func TestDegreeDistributionHelpers(t *testing.T) {
 	}
 }
 
-func TestFilteredPersistenceRoundTrip(t *testing.T) {
-	g, err := Dataset("pld", 512)
+// The helpers reject arguments outside the programs' domain instead of
+// returning NaN, a diverged vector, or a run cut short with a nil error.
+func TestHelpersRejectInvalidArgs(t *testing.T) {
+	g, err := GenerateRMAT(8, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Filter(g)
-	var buf bytes.Buffer
-	if err := f.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	bad := uint32(g.NumNodes() + 5)
+	pr := func(damping, tol float64) func() error {
+		return func() error { _, err := PageRank(g, damping, tol, 50); return err }
 	}
-	loaded, err := ReadFiltered(&buf, g)
-	if err != nil {
-		t.Fatal(err)
+	for name, call := range map[string]func() error{
+		"damping NaN":  pr(math.NaN(), 1e-9),
+		"damping 1.5":  pr(1.5, 1e-9),
+		"damping -0.2": pr(-0.2, 1e-9),
+		"damping 0":    pr(0, 1e-9),
+		"damping 1":    pr(1, 1e-9),
+		"tol NaN":      pr(0.85, math.NaN()),
+		"tol -1":       pr(0.85, -1),
+		"tol +Inf":     pr(0.85, math.Inf(1)),
+		"PageRankCtx tol -Inf": func() error {
+			_, err := PageRankCtx(ctx, g, 0.85, math.Inf(-1), 50)
+			return err
+		},
+		"PersonalizedPageRanks source": func() error {
+			_, err := PersonalizedPageRanks(g, []uint32{0, bad}, 0.85, 1e-9, 50)
+			return err
+		},
+		"PersonalizedPageRanks damping": func() error {
+			_, err := PersonalizedPageRanks(g, []uint32{0}, 1.5, 1e-9, 50)
+			return err
+		},
+		"PersonalizedPageRanksCtx source": func() error {
+			_, err := PersonalizedPageRanksCtx(ctx, g, []uint32{bad}, 0.85, 1e-9, 50)
+			return err
+		},
+		"BFS source":            func() error { _, err := BFS(g, bad); return err },
+		"BFS source n":          func() error { _, err := BFS(g, uint32(g.NumNodes())); return err },
+		"BFSCtx source":         func() error { _, err := BFSCtx(ctx, g, bad); return err },
+		"MultiSourceBFS source": func() error { _, err := MultiSourceBFS(g, []uint32{1, bad}); return err },
+	} {
+		if call() == nil {
+			t.Errorf("%s: accepted, want error", name)
+		}
 	}
-	if loaded.NumRegular != f.NumRegular || loaded.RegularEdges() != f.RegularEdges() {
-		t.Fatal("filtered form changed across persistence")
+	// The boundaries that stay valid: tol 0 runs to maxIter, the last node
+	// is a source.
+	last := uint32(g.NumNodes() - 1)
+	for name, call := range map[string]func() error{
+		"tol 0":      pr(0.85, 0),
+		"BFS last":   func() error { _, err := BFS(g, last); return err },
+		"PPR last":   func() error { _, err := PersonalizedPageRanks(g, []uint32{last}, 0.5, 0, 5); return err },
+		"multi last": func() error { _, err := MultiSourceBFS(g, []uint32{0, last}); return err },
+	} {
+		if err := call(); err != nil {
+			t.Errorf("%s: %v, want ok", name, err)
+		}
 	}
 }
 
