@@ -366,13 +366,6 @@ func BenchmarkAblationHubOrder(b *testing.B) {
 	benchAblation(b, "huborder", core.Config{}, core.Config{DisableHubOrder: true})
 }
 
-// BenchmarkAblationOrdering compares the paper's two-group hub-first
-// policy against the costlier full degree sort from the reordering
-// literature.
-func BenchmarkAblationOrdering(b *testing.B) {
-	benchAblation(b, "ordering", core.Config{}, core.Config{DegreeSortOrder: true})
-}
-
 // BenchmarkAblationEdgeCompression compares compressed bins (one entry per
 // source per block) against per-edge bins.
 func BenchmarkAblationEdgeCompression(b *testing.B) {

@@ -51,7 +51,7 @@ var experiments = []experiment{
 	{"fig6", format(bench.Fig6, bench.FormatFig6)},
 	{"fig7", format(bench.Fig7, bench.FormatFig7)},
 	{"ablation", format(bench.Ablation, bench.FormatAblation)},
-	{"reorder", runReorder},
+	{"autotune", runAutotune},
 	{"model", format(bench.ModelStudy, bench.FormatModelStudy)},
 	{"phases", format(bench.PhaseStudy, bench.FormatPhaseStudy)},
 }
@@ -64,46 +64,17 @@ func experimentNames() string {
 	return strings.Join(names, ", ")
 }
 
-// runReorder is the layout study plus the auto-tuner oracle. A reordered
-// run whose results differ from the original layout is an error; a study
-// where no strategy or tuner meets its bar is a warning.
-func runReorder(o bench.Options) (string, error) {
-	rows, err := bench.ReorderStudy(o)
+// runAutotune prints the exhaustive block-side sweep (the oracle), the
+// measured auto-tuner's choice and DefaultSide; a tuner that misses the
+// oracle by more than 10% is a warning.
+func runAutotune(o bench.Options) (string, error) {
+	rows, err := bench.AutotuneStudy(o)
 	if err != nil {
 		return "", err
 	}
-	out := bench.FormatReorderStudy(rows)
-	var studied []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !r.Identical {
-			return "", fmt.Errorf("reorder: %s/%s results differ from the original layout", r.Graph, r.Strategy)
-		}
-		if !seen[r.Graph] {
-			seen[r.Graph] = true
-			studied = append(studied, r.Graph)
-		}
-	}
-	wins := false
-	for _, g := range studied {
-		if bench.ReorderLightweightWins(rows, g) {
-			wins = true
-			break
-		}
-	}
-	if !wins {
-		out += "WARNING: no skew-aware strategy beat the original layout on simulated traffic\n"
-	}
-	at, err := bench.AutotuneStudy(o)
-	if err != nil {
-		return "", err
-	}
-	out += "\n" + bench.FormatAutotuneStudy(at)
-	if !bench.AutotuneWithinPct(at, "measured", 0.10) {
+	out := bench.FormatAutotuneStudy(rows)
+	if !bench.AutotuneWithinPct(rows, "measured", 0.10) {
 		out += "WARNING: measured auto-tuned side is >10% slower than the exhaustive best\n"
-	}
-	if !bench.AutotuneWithinPct(at, "predicted", 0.10) {
-		out += "WARNING: predicted side is >10% slower than the exhaustive best\n"
 	}
 	return out, nil
 }

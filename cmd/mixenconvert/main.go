@@ -7,18 +7,18 @@
 //	mixenconvert -in graph.txt -out graph.bin              # text -> binary
 //	mixenconvert -in graph.bin -out graph.txt              # binary -> text
 //	mixenconvert -preset wiki -shrink 8 -out wiki.bin      # generate preset
-//	mixenconvert -preset wiki -partition wiki.mixp -reorder hubsort -autotune
+//	mixenconvert -preset wiki -partition wiki.mixp -autotune
 //
 // Format is inferred from the file extension: .bin/.mixb = CSR binary,
 // anything else = text edge list. A -partition file (.mixp) bakes in the
-// full preprocessing pipeline — filter, optional -reorder/-autotune layout
-// decision, 2-D blocked partition — so mixenserve -partition starts
-// serving instantly by mapping it.
+// full preprocessing pipeline — hub-first filter, block side (-side, or
+// measured by -autotune), 2-D blocked partition — so mixenserve -partition
+// starts serving instantly by mapping it.
 //
 // Flag combinations are validated up front: exactly one input source
 // (-in or -preset), at least one output (-out, -partition),
-// -shrink only with -preset, and the layout flags (-reorder, -autotune,
-// -side) only with -partition.
+// -shrink only with -preset, the layout flags (-autotune, -side) only with
+// -partition, -side not negative, and -autotune only without a -side.
 package main
 
 import (
@@ -52,7 +52,6 @@ func run(args []string, stderr io.Writer) error {
 	shrink := fs.Int("shrink", 8, "preset shrink factor")
 	out := fs.String("out", "", "output graph path")
 	partitionPath := fs.String("partition", "", "write a ready-to-mmap .mixp partition here")
-	reorderFlag := fs.String("reorder", "", "bake a submatrix reorder strategy into -partition (hubsort, hubcluster, dbg, ...)")
 	autotune := fs.Bool("autotune", false, "bake the measured block-side auto-tuner's pick into -partition")
 	side := fs.Int("side", 0, "bake a fixed block side into -partition (0 = heuristic)")
 	threads := fs.Int("threads", 0, "worker threads for the -partition build (0 = GOMAXPROCS)")
@@ -75,10 +74,12 @@ func run(args []string, stderr io.Writer) error {
 		return usageError{"-shrink only applies to -preset generation"}
 	case *out == "" && *partitionPath == "":
 		return usageError{"nothing to do: specify -out and/or -partition"}
-	case *partitionPath == "" && (set["reorder"] || set["autotune"] || set["side"] || set["threads"]):
-		return usageError{"-reorder, -autotune, -side and -threads only apply to a -partition build"}
-	case set["reorder"] && *reorderFlag == "":
-		return usageError{"-reorder needs a strategy name (hubsort, hubcluster, dbg, ...)"}
+	case *partitionPath == "" && (set["autotune"] || set["side"] || set["threads"]):
+		return usageError{"-autotune, -side and -threads only apply to a -partition build"}
+	case *side < 0:
+		return usageError{fmt.Sprintf("-side %d is negative (0 picks the heuristic side)", *side)}
+	case *autotune && *side != 0:
+		return usageError{"-autotune picks the block side; drop -side or -autotune"}
 	}
 
 	g, err := load(*in, *preset, *shrink)
@@ -97,7 +98,6 @@ func run(args []string, stderr io.Writer) error {
 		eng, err := mixen.New(g, mixen.Config{
 			Side:     *side,
 			Threads:  *threads,
-			Reorder:  mixen.ReorderStrategy(*reorderFlag),
 			AutoTune: *autotune,
 		})
 		if err != nil {
@@ -110,17 +110,12 @@ func run(args []string, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		reo, tuned := "original", ""
-		if r, at := eng.Layout(); r != "" {
-			reo = r
-			if at {
-				tuned = ", autotuned"
-			}
-		} else if at {
+		tuned := ""
+		if len(eng.Tuned) > 0 {
 			tuned = ", autotuned"
 		}
-		fmt.Fprintf(stderr, "wrote partition %s (%d bytes, side=%d, reorder=%s%s)\n",
-			*partitionPath, st.Size(), eng.P.Side, reo, tuned)
+		fmt.Fprintf(stderr, "wrote partition %s (%d bytes, side=%d%s)\n",
+			*partitionPath, st.Size(), eng.P.Side, tuned)
 	}
 	return nil
 }

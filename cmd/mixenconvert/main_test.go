@@ -24,10 +24,10 @@ func TestFlagValidation(t *testing.T) {
 		{"both_inputs", []string{"-in", "a.txt", "-preset", "wiki", "-out", "x.bin"}, "only one of"},
 		{"no_output", []string{"-preset", "wiki"}, "nothing to do"},
 		{"shrink_without_preset", []string{"-in", "a.txt", "-shrink", "4", "-out", "x.bin"}, "-shrink only applies"},
-		{"reorder_without_partition", []string{"-preset", "wiki", "-out", "x.bin", "-reorder", "hubsort"}, "only apply to a -partition"},
 		{"autotune_without_partition", []string{"-preset", "wiki", "-out", "x.bin", "-autotune"}, "only apply to a -partition"},
 		{"side_without_partition", []string{"-preset", "wiki", "-out", "x.bin", "-side", "64"}, "only apply to a -partition"},
-		{"empty_reorder", []string{"-preset", "wiki", "-partition", "x.mixp", "-reorder", ""}, "needs a strategy name"},
+		{"negative_side", []string{"-preset", "wiki", "-partition", "x.mixp", "-side", "-3"}, "negative"},
+		{"autotune_with_side", []string{"-preset", "wiki", "-partition", "x.mixp", "-side", "512", "-autotune"}, "drop -side or -autotune"},
 		{"positional_args", []string{"-preset", "wiki", "-out", "x.bin", "stray.txt"}, "positional"},
 	}
 	for _, tc := range cases {
@@ -62,7 +62,7 @@ func writeTestGraph(t *testing.T, path string, n, m int) {
 
 // TestPartitionEndToEnd: text edge list -> `mixenconvert -partition` ->
 // mixen.OpenPartition -> PageRank matches a build-from-edges engine
-// bit-identically, including the -reorder/-autotune baked-layout paths.
+// bit-identically, including the -autotune baked-layout path.
 func TestPartitionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "graph.txt")
@@ -74,9 +74,7 @@ func TestPartitionEndToEnd(t *testing.T) {
 		cfg   mixen.Config
 	}{
 		{"plain", nil, mixen.Config{}},
-		{"reorder", []string{"-reorder", "hubsort"}, mixen.Config{Reorder: "hubsort"}},
 		{"autotune", []string{"-autotune"}, mixen.Config{AutoTune: true}},
-		{"reorder_autotune", []string{"-reorder", "dbg", "-autotune"}, mixen.Config{Reorder: "dbg", AutoTune: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -106,11 +104,10 @@ func TestPartitionEndToEnd(t *testing.T) {
 			}
 			// The tuner times candidate sides on the wall clock, so two runs
 			// of it need not agree: the reference takes the side the file
-			// baked (an explicit Side pre-empts the tuner) instead of tuning
-			// a second time.
+			// baked instead of tuning a second time.
 			refCfg := v.cfg
 			if refCfg.AutoTune {
-				refCfg.Side = me.Meta().Side
+				refCfg = mixen.Config{Side: me.Meta().Side}
 			}
 			ref, err := mixen.New(g, refCfg)
 			if err != nil {
@@ -119,13 +116,8 @@ func TestPartitionEndToEnd(t *testing.T) {
 			if wantSide := ref.P.Side; me.Meta().Side != wantSide || wantSide <= 0 {
 				t.Fatalf("baked side %d, want %d", me.Meta().Side, wantSide)
 			}
-			wantReorder := ""
-			if v.cfg.Reorder != "" {
-				wantReorder = string(v.cfg.Reorder)
-			}
-			if me.Meta().Reorder != wantReorder || me.Meta().AutoTuned != v.cfg.AutoTune {
-				t.Fatalf("baked layout (%q, %v), want (%q, %v)",
-					me.Meta().Reorder, me.Meta().AutoTuned, wantReorder, v.cfg.AutoTune)
+			if me.Meta().AutoTuned != v.cfg.AutoTune {
+				t.Fatalf("baked autotuned = %v, want %v", me.Meta().AutoTuned, v.cfg.AutoTune)
 			}
 
 			refRes, err := ref.Run(mixen.NewPageRankProgram(g, 0.85, 0, 20))
@@ -160,7 +152,6 @@ func TestPartitionRejectsConflictingConfig(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	for _, cfg := range []mixen.Config{
-		{Reorder: "hubsort"},
 		{AutoTune: true},
 		{Side: 12345},
 	} {

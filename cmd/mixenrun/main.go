@@ -70,7 +70,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	trace := flag.Bool("trace", false, "print the per-iteration timeline (mixen engine)")
 	sparse := flag.Bool("sparse", true, "allow sparsity-aware Scatter on quiet block-rows (mixen engine); -sparse=false forces every active row dense")
-	reorderFlag := flag.String("reorder", "", "skew-aware reordering of the regular submatrix after filtering (mixen engine): degree, random, hubsort, hubcluster, dbg; results are bit-identical to the original layout")
 	autotune := flag.Bool("autotune", false, "pick the block side by timing candidate partitions before the run (mixen engine)")
 	reportPath := flag.String("report", "", "write the RunReport JSON here (\"-\" for stdout)")
 	parallel := flag.Int("parallel", 1, "after the reported run, issue N concurrent runs over the same engine and report runs/sec")
@@ -80,22 +79,6 @@ func main() {
 	info, ok := algoInfo[*algoName]
 	if !ok {
 		fail(fmt.Errorf("unknown algorithm %q", *algoName))
-	}
-
-	var reorderStrategy mixen.ReorderStrategy
-	if *reorderFlag != "" {
-		s := mixen.ReorderStrategy(*reorderFlag)
-		valid := false
-		for _, cand := range mixen.DegreeReorderStrategies() {
-			if s == cand {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			fail(fmt.Errorf("unknown -reorder strategy %q (want one of %v)", *reorderFlag, mixen.DegreeReorderStrategies()))
-		}
-		reorderStrategy = s
 	}
 
 	g, err := loadGraph(*preset, *shrink, *edgelist)
@@ -160,10 +143,6 @@ func main() {
 	if isFlagSet("sparse") && !(info.engine && *engine == "mixen") {
 		fmt.Fprintln(os.Stderr, "mixenrun: -sparse applies only to the mixen engine; ignoring")
 	}
-	if reorderStrategy != "" && !(info.engine && *engine == "mixen") {
-		fmt.Fprintln(os.Stderr, "mixenrun: -reorder applies only to the mixen engine; ignoring")
-		reorderStrategy = ""
-	}
 	if *autotune && !(info.engine && *engine == "mixen") {
 		fmt.Fprintln(os.Stderr, "mixenrun: -autotune applies only to the mixen engine; ignoring")
 		*autotune = false
@@ -191,8 +170,7 @@ func main() {
 		runEngineAlgo(g, report, reg, *algoName, *engine, engineOpts{
 			iters: *iters, tol: *tol, source: uint32(*source), k: *k,
 			threads: *threads, top: *top, trace: *trace, parallel: *parallel,
-			batch: *batch, sparse: *sparse,
-			reorder: reorderStrategy, autotune: *autotune,
+			batch: *batch, sparse: *sparse, autotune: *autotune,
 		})
 	} else {
 		runLibraryAlgo(g, report, *algoName, *iters, *tol, *top)
@@ -215,7 +193,6 @@ type engineOpts struct {
 	parallel               int
 	batch                  int
 	sparse                 bool
-	reorder                mixen.ReorderStrategy
 	autotune               bool
 }
 
@@ -261,8 +238,7 @@ func runEngineAlgo(g *mixen.Graph, report *mixen.RunReport, reg *mixen.MetricsRe
 		}
 		e, nerr := mixen.New(g, mixen.Config{
 			Threads: o.threads, Trace: o.trace, Collector: col,
-			DisableSparse: !o.sparse, Reorder: o.reorder, ReorderSeed: 1,
-			AutoTune: o.autotune,
+			DisableSparse: !o.sparse, AutoTune: o.autotune,
 		})
 		if nerr != nil {
 			fail(nerr)
@@ -273,9 +249,11 @@ func runEngineAlgo(g *mixen.Graph, report *mixen.RunReport, reg *mixen.MetricsRe
 		if err != nil {
 			fail(err)
 		}
-		if o.autotune && stats.TunedSide > 0 {
-			fmt.Printf("autotune: chose side %d from %d candidates in %v\n",
-				stats.TunedSide, len(e.Tuned), e.Prep.TuneTime.Round(time.Millisecond))
+		for _, tr := range e.Tuned {
+			if tr.Chosen {
+				fmt.Printf("autotune: chose side %d from %d candidates in %v\n",
+					tr.Side, len(e.Tuned), e.Prep.TuneTime.Round(time.Millisecond))
+			}
 		}
 		algoCfg := report.Config
 		*report = *e.BuildReport(algoName, report.Graph.Name, res, stats)

@@ -92,14 +92,9 @@ func (s *server) swapMapped(me *mixen.MappedEngine) *engineState {
 // mappedState builds the serving snapshot for a mapped partition.
 func mappedState(me *mixen.MappedEngine, bcfg mixen.BatcherConfig) *engineState {
 	m := me.Meta()
-	reorder := m.Reorder
-	if reorder == "" {
-		reorder = "original"
-	}
 	part := &partitionStatus{
 		File:      me.PartitionPath(),
 		Epoch:     m.Epoch,
-		Reorder:   reorder,
 		Side:      m.Side,
 		AutoTuned: m.AutoTuned,
 		Mapped:    me.MappedFromFile(),

@@ -139,8 +139,8 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	st := s.state()
 	if st.part != nil {
-		log.Printf("mixenserve: serving %d nodes / %d edges on %s from mapped partition %s (epoch=%d reorder=%s side=%d max-concurrent=%d max-queue=%d cache=%dB)",
-			st.n, st.edges, *addr, st.part.File, st.part.Epoch, st.part.Reorder, st.part.Side, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
+		log.Printf("mixenserve: serving %d nodes / %d edges on %s from mapped partition %s (epoch=%d side=%d max-concurrent=%d max-queue=%d cache=%dB)",
+			st.n, st.edges, *addr, st.part.File, st.part.Epoch, st.part.Side, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)
 	} else {
 		log.Printf("mixenserve: serving %d nodes / %d edges on %s (max-concurrent=%d max-queue=%d cache=%dB)",
 			st.n, st.edges, *addr, cfg.maxConcurrent, cfg.maxQueue, *cacheSize)

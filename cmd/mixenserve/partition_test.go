@@ -116,7 +116,7 @@ func TestHealthzPartitionFields(t *testing.T) {
 	if h.Status != "ok" || h.Partition == nil {
 		t.Fatalf("partition-mode healthz = %+v, want a partition block", h)
 	}
-	if h.Partition.File == "" || h.Partition.Epoch == 0 || h.Partition.Side == 0 || h.Partition.Reorder == "" {
+	if h.Partition.File == "" || h.Partition.Epoch == 0 || h.Partition.Side == 0 {
 		t.Fatalf("partition block incomplete: %+v", h.Partition)
 	}
 }

@@ -195,7 +195,6 @@ type server struct {
 type partitionStatus struct {
 	File      string `json:"file"`
 	Epoch     int64  `json:"epoch"`
-	Reorder   string `json:"reorder"`
 	Side      int    `json:"side"`
 	AutoTuned bool   `json:"autotuned"`
 	Mapped    bool   `json:"mapped"`

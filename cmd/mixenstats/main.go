@@ -24,7 +24,6 @@ func main() {
 	edgelist := flag.String("edgelist", "", "path to a text edge list (src dst per line)")
 	binary := flag.String("binary", "", "path to a CSR binary graph")
 	detailFlag := flag.Bool("detail", false, "print degree distribution, skew exponent and diameter estimate")
-	reorderFlag := flag.Bool("reorder", false, "print whole-graph bandwidth/avg-span before and after each reordering strategy")
 	flag.Parse()
 
 	g, err := loadGraph(*preset, *shrink, *edgelist, *binary)
@@ -59,34 +58,6 @@ func main() {
 		}
 		fmt.Printf("approx diameter       %12d\n", mixen.ApproxDiameter(g, 0))
 	}
-
-	if *reorderFlag {
-		if err := printReorderLayouts(g); err != nil {
-			fmt.Fprintln(os.Stderr, "mixenstats:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// printReorderLayouts applies every degree-keyed reordering strategy to the
-// whole graph and reports the layout metrics the SCGA engine's locality
-// depends on: CSR bandwidth (max |src-dst| over edges) and average edge
-// span. The "original" row is the baseline the others are judged against.
-func printReorderLayouts(g *mixen.Graph) error {
-	fmt.Printf("\nreorder layouts\n")
-	fmt.Printf("%-11s %14s %12s\n", "strategy", "bandwidth", "avg_span")
-	for _, s := range mixen.DegreeReorderStrategies() {
-		rg := g
-		if s != "original" {
-			var err error
-			rg, _, err = mixen.ReorderGraph(g, s, 1)
-			if err != nil {
-				return err
-			}
-		}
-		fmt.Printf("%-11s %14d %12.1f\n", s, mixen.GraphBandwidth(rg), mixen.GraphAvgSpan(rg))
-	}
-	return nil
 }
 
 func loadGraph(preset string, shrink int, edgelist, binary string) (*mixen.Graph, error) {

@@ -17,7 +17,7 @@
 //	§4–5     design-choice ablation             -> Ablation
 //	§3, §5   analytic vs implemented traffic    -> ModelStudy
 //	§6.3     Pre/Main/Post-Phase split          -> PhaseStudy
-//	layout   Config.Reorder / AutoTune oracle   -> ReorderStudy, AutotuneStudy
+//	tuner    AutoTune vs exhaustive side sweep  -> AutotuneStudy
 package bench
 
 import (

@@ -3,8 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"mixen/internal/reorder"
 )
 
 // Small options so the harness tests run quickly; the shape assertions are
@@ -260,44 +258,6 @@ func TestAblationStructure(t *testing.T) {
 	}
 }
 
-func TestReorderStudyStructure(t *testing.T) {
-	rows, err := ReorderStudy(Options{Shrink: 256, Iters: 2, Graphs: []string{"wiki"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One row per degree-keyed strategy.
-	if want := len(reorder.DegreeStrategies()); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	strategies := map[string]bool{}
-	for _, r := range rows {
-		if r.MainSec <= 0 || r.PrepSec <= 0 {
-			t.Errorf("%s: non-positive time", r.Strategy)
-		}
-		if r.TrafficMB <= 0 {
-			t.Errorf("%s: no simulated traffic", r.Strategy)
-		}
-		if r.Bandwidth <= 0 || r.AvgSpan <= 0 {
-			t.Errorf("%s: span metrics missing", r.Strategy)
-		}
-		if !r.Identical {
-			t.Errorf("%s: demuxed results differ from the unreordered run", r.Strategy)
-		}
-		if r.Strategy != string(reorder.Original) && r.ReorderSec <= 0 {
-			t.Errorf("%s: reorder cost not recorded", r.Strategy)
-		}
-		strategies[r.Strategy] = true
-	}
-	for _, want := range []string{"original", "degree", "random", "hubsort", "hubcluster", "dbg"} {
-		if !strategies[want] {
-			t.Errorf("missing strategy %q", want)
-		}
-	}
-	if !strings.Contains(FormatReorderStudy(rows), "avgSpan") {
-		t.Error("formatted study missing header")
-	}
-}
-
 func TestAutotuneStudyStructure(t *testing.T) {
 	rows, err := AutotuneStudy(Options{Shrink: 256, Iters: 2, Graphs: []string{"wiki"}})
 	if err != nil {
@@ -320,7 +280,7 @@ func TestAutotuneStudyStructure(t *testing.T) {
 	if best != 1 {
 		t.Fatalf("%d best rows, want 1", best)
 	}
-	for _, s := range []string{"measured", "predicted", "default"} {
+	for _, s := range []string{"measured", "default"} {
 		if sources[s] != 1 {
 			t.Errorf("source %q appears %d times, want 1", s, sources[s])
 		}

@@ -48,24 +48,12 @@ type SideTrial struct {
 	Chosen    bool
 }
 
-// TunedSide returns the block side the measured auto-tuner selected, or 0
-// when tuning did not run (AutoTune off, explicit Side, or an empty
-// regular range).
-func (e *Engine) TunedSide() int { return e.tunedSide }
-
 // CandidateSides returns the auto-tuner's candidate ladder for a regular
 // range of size r: DefaultSide plus powers of two in [tuneMinSide,
 // tuneMaxSide], ascending, truncated after the first side >= r (every
 // larger side collapses the grid to the same single-block layout). Exported
-// so the predicted tuner (internal/tune) and the exhaustive bench sweep
-// rank exactly the sides the measured tuner considers.
-func CandidateSides(r, threads int) []int { return tuneCandidateSides(r, threads) }
-
-// tuneCandidateSides returns the candidate ladder for a regular range of
-// size r: DefaultSide plus powers of two in [tuneMinSide, tuneMaxSide],
-// ascending, truncated after the first side >= r (every larger side
-// collapses the grid to the same single-block layout).
-func tuneCandidateSides(r, threads int) []int {
+// so the exhaustive bench sweep times exactly the sides the tuner probes.
+func CandidateSides(r, threads int) []int {
 	seen := make(map[int]bool)
 	var sides []int
 	add := func(s int) {
@@ -123,7 +111,7 @@ func autotuneSide(f *filter.Filtered, cfg Config) ([]SideTrial, *block.Partition
 	pcfg.Collector = nil
 	pcfg.DisableActiveTracking = true
 
-	sides := tuneCandidateSides(f.NumRegular, cfg.Threads)
+	sides := CandidateSides(f.NumRegular, cfg.Threads)
 	trials := make([]SideTrial, 0, len(sides))
 	var best *block.Partition
 	bestIdx := -1

@@ -28,7 +28,6 @@ import (
 	"mixen/internal/filter"
 	"mixen/internal/graph"
 	"mixen/internal/obs"
-	"mixen/internal/reorder"
 	"mixen/internal/sched"
 	"mixen/internal/vprog"
 )
@@ -40,24 +39,11 @@ type Config struct {
 	Side int
 	// Threads is the worker count; 0 uses all available cores.
 	Threads int
-	// Reorder applies a skew-aware lightweight reordering to the regular
-	// submatrix AFTER filtering (composing with — not replacing — the
-	// paper's connectivity-aware relabeling): node classes and the phase
-	// schedule are untouched, only the layout inside the regular range
-	// changes, and results still demux to original ids bit-for-bit.
-	// Degree-keyed strategies only (reorder.DegreeStrategies: original,
-	// degree, random, hubsort, hubcluster, dbg); RCM needs adjacency and is
-	// rejected. Empty means no reordering. When set, the hub-first layout
-	// the filter produced is overridden by the strategy's own layout.
-	Reorder reorder.Strategy
-	// ReorderSeed seeds the random reordering strategy (ignored otherwise).
-	ReorderSeed int64
 	// AutoTune selects the block side by measurement instead of the
 	// DefaultSide heuristic: the constructor builds candidate partitions,
 	// times a few probe Main-Phase iterations on each, and keeps the
-	// fastest (see Engine.Tuned for the trial table, EffectiveConfig and
-	// RunStats.TunedSide for the outcome). An explicit non-zero Side wins
-	// over AutoTune — the tuner only runs when Side is 0. Tuning cost is
+	// fastest (Engine.Tuned is the trial table). It picks the side, so it
+	// cannot be combined with a non-zero Side. Tuning cost is
 	// preprocessing-only (PrepStats.TuneTime); the run hot path is
 	// untouched.
 	AutoTune bool
@@ -71,12 +57,9 @@ type Config struct {
 	// (source, block) pair (ablation of edge compression).
 	DisableCompression bool
 	// DisableHubOrder keeps regular nodes in original relative order
-	// without relocating hubs to the front (ablation of filtering step 2).
+	// without relocating hubs to the front (ablation of filtering step 2,
+	// the only layout choice inside the regular range).
 	DisableHubOrder bool
-	// DegreeSortOrder fully sorts regular nodes by descending in-degree
-	// instead of the two-group hub-first policy (the "degree sort"
-	// reordering baseline). Overrides DisableHubOrder.
-	DegreeSortOrder bool
 	// DisableActiveTracking turns off node-granularity activity tracking
 	// (the bit mask §5 sets aside, refined to per-node frontiers): with
 	// tracking on, Gather records which nodes changed, Scatter skips any
@@ -111,14 +94,10 @@ type Config struct {
 }
 
 func (c Config) regularOrder() filter.RegularOrder {
-	switch {
-	case c.DegreeSortOrder:
-		return filter.OrderDegreeDesc
-	case c.DisableHubOrder:
+	if c.DisableHubOrder {
 		return filter.OrderOriginal
-	default:
-		return filter.OrderHubFirst
 	}
+	return filter.OrderHubFirst
 }
 
 func (c Config) withDefaults() Config {
@@ -149,9 +128,6 @@ const DefaultSparseDensity = 0.05
 type PrepStats struct {
 	FilterTime    time.Duration
 	PartitionTime time.Duration
-	// ReorderTime is the cost of the optional submatrix reordering
-	// (Config.Reorder); zero when no reordering ran.
-	ReorderTime time.Duration
 	// TuneTime is the cost of the measured block-side auto-tuner
 	// (Config.AutoTune); zero when tuning did not run.
 	TuneTime time.Duration
@@ -159,7 +135,7 @@ type PrepStats struct {
 
 // Total returns the end-to-end preprocessing time.
 func (p PrepStats) Total() time.Duration {
-	return p.FilterTime + p.ReorderTime + p.TuneTime + p.PartitionTime
+	return p.FilterTime + p.TuneTime + p.PartitionTime
 }
 
 // Engine is a preprocessed Mixen instance, reusable across algorithm runs
@@ -186,11 +162,9 @@ type Engine struct {
 	prebuilt bool
 
 	// Tuned is the measured auto-tuner's trial table (one row per
-	// candidate side, in probing order) when Config.AutoTune selected the
-	// block side; nil when tuning did not run. tunedSide mirrors the
-	// chosen side for RunStats reporting (0 when untuned).
-	Tuned     []SideTrial
-	tunedSide int
+	// candidate side, in probing order; the Chosen row is P.Side) when
+	// Config.AutoTune selected the block side; nil when tuning did not run.
+	Tuned []SideTrial
 
 	// SkippedBlocks counts sub-blocks (always sub-blocks, the unit of
 	// block.Partition.Rows — never block-rows) whose Scatter was skipped
@@ -272,47 +246,40 @@ func (e *Engine) SetCollector(c obs.Collector) {
 // Collector returns the attached collector (never nil).
 func (e *Engine) Collector() obs.Collector { return e.state.Load().col }
 
-// New preprocesses g: filtering/relabeling, the optional skew-aware
-// submatrix reordering (Config.Reorder), the optional measured block-side
-// auto-tuning (Config.AutoTune), and 2-D blocking of the regular
-// submatrix.
+// New preprocesses g: filtering/relabeling (hub-first unless
+// Config.DisableHubOrder), the optional measured block-side auto-tuning
+// (Config.AutoTune), and 2-D blocking of the regular submatrix.
 func New(g *graph.Graph, cfg Config) (*Engine, error) {
+	switch {
+	case cfg.Side < 0:
+		return nil, fmt.Errorf("core: side %d is negative (0 picks block.DefaultSide)", cfg.Side)
+	case cfg.AutoTune && cfg.Side != 0:
+		return nil, fmt.Errorf("core: AutoTune picks the block side; it cannot be combined with side %d", cfg.Side)
+	}
 	cfg = cfg.withDefaults()
 	col := obs.Default(cfg.Collector)
 	t0 := time.Now()
 	f := filter.FilterWithOptions(g, filter.Options{Order: cfg.regularOrder(), Collector: col})
 	t1 := time.Now()
 
-	var reorderTime time.Duration
-	if err := applyReorder(f, cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Reorder != "" && cfg.Reorder != reorder.Original {
-		reorderTime = time.Since(t1)
-		col.Histogram("core.reorder_ns").Observe(int64(reorderTime))
-	}
-
 	// Measured auto-tuning: probe candidate sides and adopt the fastest.
-	// An explicit Side wins; the trial that built the winning partition is
-	// reused below so tuning never builds the final partition twice.
+	// The trial that built the winning partition is reused below so tuning
+	// never builds the final partition twice.
 	var (
-		tuned     []SideTrial
-		tunedSide int
-		tunedP    *block.Partition
-		tuneTime  time.Duration
+		tuned    []SideTrial
+		tunedP   *block.Partition
+		tuneTime time.Duration
 	)
-	if cfg.AutoTune && cfg.Side == 0 {
-		tTune := time.Now()
+	if cfg.AutoTune {
 		var err error
 		tuned, tunedP, err = autotuneSide(f, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: autotune: %w", err)
 		}
 		if tunedP != nil {
-			tunedSide = tunedP.Side
-			cfg.Side = tunedSide
+			cfg.Side = tunedP.Side
 		}
-		tuneTime = time.Since(tTune)
+		tuneTime = time.Since(t1)
 		col.Histogram("core.tune_ns").Observe(int64(tuneTime))
 	}
 
@@ -334,14 +301,12 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	}
 	t3 := time.Now()
 	e := &Engine{
-		cfg:       cfg,
-		F:         f,
-		P:         p,
-		Tuned:     tuned,
-		tunedSide: tunedSide,
+		cfg:   cfg,
+		F:     f,
+		P:     p,
+		Tuned: tuned,
 		Prep: PrepStats{
 			FilterTime:    t1.Sub(t0),
-			ReorderTime:   reorderTime,
 			TuneTime:      tuneTime,
 			PartitionTime: t3.Sub(t2),
 		},
@@ -350,37 +315,6 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	col.Histogram("core.filter_ns").Observe(int64(e.Prep.FilterTime))
 	col.Histogram("core.partition_ns").Observe(int64(e.Prep.PartitionTime))
 	return e, nil
-}
-
-// applyReorder permutes the filtered regular submatrix per Config.Reorder
-// (no-op for "" and "original"). Degrees are measured INSIDE the
-// submatrix — the skew the SCGA Gather actually sees — not on the whole
-// graph.
-func applyReorder(f *filter.Filtered, cfg Config) error {
-	if cfg.Reorder == "" || cfg.Reorder == reorder.Original {
-		return nil
-	}
-	perm, err := reorder.PermutationFromDegrees(f.RegularInDegrees(), cfg.Reorder, cfg.ReorderSeed)
-	if err != nil {
-		return fmt.Errorf("core: reorder: %w", err)
-	}
-	if err := f.PermuteRegular(perm); err != nil {
-		return fmt.Errorf("core: reorder: %w", err)
-	}
-	return nil
-}
-
-// PrepareFiltered runs the engine's preprocessing up to — but not
-// including — partitioning: filtering/relabeling plus the optional
-// submatrix reordering. internal/tune uses it to predict a block side for
-// a (graph, config) pair without building partitions.
-func PrepareFiltered(g *graph.Graph, cfg Config) (*filter.Filtered, error) {
-	cfg = cfg.withDefaults()
-	f := filter.FilterWithOptions(g, filter.Options{Order: cfg.regularOrder(), Collector: obs.Default(cfg.Collector)})
-	if err := applyReorder(f, cfg); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Graph returns the original graph, or nil for an engine assembled from a
@@ -435,11 +369,6 @@ type RunStats struct {
 	// one to DenseRowIterations.
 	DenseRowIterations  int64
 	SparseRowIterations int64
-	// TunedSide is the block side the measured auto-tuner selected for
-	// this engine (0 when Config.AutoTune was off or an explicit Side
-	// pre-empted it). Constant across runs; carried here so per-run
-	// reports are self-describing.
-	TunedSide int
 	// Trace is the per-iteration timeline, populated when Config.Trace is
 	// set (nil otherwise).
 	Trace []obs.IterationTrace
@@ -751,7 +680,6 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 	stats.MainTime = time.Since(t1)
 	stats.MainIterations = iter
 	stats.SkippedBlocks = rc.skipped.Load()
-	stats.TunedSide = e.tunedSide
 	st.m.mainNs.Observe(int64(stats.MainTime))
 	st.m.skippedBlocks.Add(stats.SkippedBlocks)
 
@@ -803,22 +731,13 @@ func (e *Engine) EffectiveConfig() map[string]string {
 	} else if e.cfg.SparseDensity != DefaultSparseDensity {
 		cfg["sparse_density"] = strconv.FormatFloat(e.cfg.SparseDensity, 'g', -1, 64)
 	}
-	switch {
-	case e.cfg.DegreeSortOrder:
-		cfg["order"] = "degree-sort"
-	case e.cfg.DisableHubOrder:
+	if e.cfg.DisableHubOrder {
 		cfg["order"] = "original"
-	default:
+	} else {
 		cfg["order"] = "hub-first"
-	}
-	if e.cfg.Reorder != "" && e.cfg.Reorder != reorder.Original {
-		cfg["reorder"] = string(e.cfg.Reorder)
 	}
 	if len(e.Tuned) > 0 {
 		cfg["autotune"] = "measured"
-	} else if e.cfg.AutoTune {
-		// Requested but pre-empted by an explicit Side.
-		cfg["autotune"] = "off-explicit-side"
 	}
 	if e.prebuilt {
 		cfg["partition"] = "prebuilt"

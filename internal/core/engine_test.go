@@ -225,7 +225,6 @@ func TestAblationConfigsStayCorrect(t *testing.T) {
 		"no-cache":       {Side: 64, DisableCache: true},
 		"no-compression": {Side: 64, DisableCompression: true},
 		"no-huborder":    {Side: 64, DisableHubOrder: true},
-		"degree-sort":    {Side: 64, DegreeSortOrder: true},
 		"no-splitting":   {Side: 64, MaxLoadFactor: -1},
 		"small-blocks":   {Side: 16},
 		"one-block":      {Side: 1 << 20},

@@ -5,21 +5,20 @@ import (
 
 	"mixen/internal/block"
 	"mixen/internal/filter"
-	"mixen/internal/reorder"
 )
 
 // NewFromPrebuilt wraps an already-built filtered form and partition — in
 // practice one loaded from a .mixp file by internal/partio — in an Engine
-// without running any preprocessing: no filter pass, no reordering, no
-// tuning, no partitioning. The SCGA run path only ever reads f and p (the
-// PR2 immutability contract), so an engine over a read-only mapping serves
+// without running any preprocessing: no filter pass, no tuning, no
+// partitioning. The SCGA run path only ever reads f and p (the PR2
+// immutability contract), so an engine over a read-only mapping serves
 // queries exactly like one built from edges.
 //
 // Build-time decisions travel with the partition, so cfg must not ask for
-// them again: a non-zero Side that disagrees with p, a Reorder strategy or
-// AutoTune are errors — re-run mixenconvert to bake a different layout.
-// Run-time knobs (Threads, SparseDensity, Trace, Collector, the Disable*
-// execution toggles) apply normally.
+// them again: a non-zero Side that disagrees with p, or AutoTune, is an
+// error — re-run mixenconvert to bake a different layout. Run-time knobs
+// (Threads, SparseDensity, Trace, Collector, the Disable* execution
+// toggles) apply normally.
 func NewFromPrebuilt(f *filter.Filtered, p *block.Partition, cfg Config) (*Engine, error) {
 	if f == nil || p == nil {
 		return nil, fmt.Errorf("core: prebuilt: nil filtered form or partition")
@@ -29,9 +28,6 @@ func NewFromPrebuilt(f *filter.Filtered, p *block.Partition, cfg Config) (*Engin
 	}
 	if cfg.Side != 0 && cfg.Side != p.Side {
 		return nil, fmt.Errorf("core: prebuilt: requested side %d but the partition was built with side %d (rebuild the file to change it)", cfg.Side, p.Side)
-	}
-	if cfg.Reorder != "" && cfg.Reorder != reorder.Original {
-		return nil, fmt.Errorf("core: prebuilt: reordering is a build-time decision; rebuild the file with -reorder %s", cfg.Reorder)
 	}
 	if cfg.AutoTune {
 		return nil, fmt.Errorf("core: prebuilt: auto-tuning is a build-time decision; rebuild the file with -autotune")
@@ -46,15 +42,4 @@ func NewFromPrebuilt(f *filter.Filtered, p *block.Partition, cfg Config) (*Engin
 	}
 	e.SetCollector(cfg.Collector)
 	return e, nil
-}
-
-// Layout reports the engine's baked layout decision — the reorder strategy
-// applied to the regular range ("" when none) and whether the block side
-// came from the measured auto-tuner. This pair, plus Partition.Side, is
-// what a .mixp file persists so restarts skip the probe.
-func (e *Engine) Layout() (reorderStrategy string, autoTuned bool) {
-	if e.cfg.Reorder != "" && e.cfg.Reorder != reorder.Original {
-		reorderStrategy = string(e.cfg.Reorder)
-	}
-	return reorderStrategy, len(e.Tuned) > 0
 }

@@ -16,9 +16,7 @@
 package filter
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"mixen/internal/analyze"
@@ -65,13 +63,9 @@ type Filtered struct {
 	// Class keeps the per-original-node classification used during the scan.
 	Class []analyze.NodeClass
 
-	// Frozen marks a Filtered whose arrays are backed by a read-only source
-	// (an mmapped partition file): any in-place mutation such as
-	// PermuteRegular must be refused instead of faulting on the mapping.
-	// Loaded forms also have G nil and RegPtr/RegIdx nil — serving never
-	// reads them (the partition already encodes the regular submatrix) and
-	// omitting them keeps the file to what the SCGA phases touch.
-	Frozen bool
+	// A form loaded from a .mixp file (internal/partio) has G, RegPtr and
+	// RegIdx nil — serving never reads them (the partition already encodes
+	// the regular submatrix) — and its arrays live in a read-only mapping.
 }
 
 // N returns the total node count.
@@ -117,11 +111,6 @@ const (
 	// OrderOriginal keeps the original relative order (classification
 	// only) — the ablation of the locality reordering.
 	OrderOriginal
-	// OrderDegreeDesc fully sorts regular nodes by descending in-degree
-	// (ties by original id), the "degree sort" baseline from the graph
-	// reordering literature; a finer-grained, costlier variant of
-	// hub-first.
-	OrderDegreeDesc
 )
 
 // Options tunes the filtering pass.
@@ -209,16 +198,12 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 		f.NewID[v] = id
 		f.OldID[id] = graph.Node(v)
 	}
-
-	if opts.Order == OrderDegreeDesc {
-		f.sortRegularByInDegree()
-	}
 	col.Histogram("filter.relabel_ns").ObserveDuration(time.Since(tRelabel))
 
 	// Pass 3: the mixed representation. Regular and seed rows keep their
 	// regular out-neighbours, sink columns all their in-neighbours.
 	tExtract := time.Now()
-	x := extractor{f: f, sorted: opts.Order != OrderDegreeDesc}
+	x := extractor{f: f}
 	f.RegPtr, f.RegIdx = x.extract(0, f.NumRegular, g.OutPtr, g.OutIdx)
 	f.SeedPtr, f.SeedIdx = x.extract(f.SeedBound(), f.NumSeed, g.OutPtr, g.OutIdx)
 	f.SinkPtr, f.SinkIdx = x.extract(f.SinkBound(), f.NumSink, g.InPtr, g.InIdx)
@@ -234,23 +219,6 @@ func FilterWithOptions(g *graph.Graph, opts Options) *Filtered {
 	return f
 }
 
-// sortRegularByInDegree rearranges the regular range [0, NumRegular) into
-// descending in-degree order (ties broken by original id), implementing the
-// OrderDegreeDesc policy.
-func (f *Filtered) sortRegularByInDegree() {
-	g := f.G
-	olds := f.OldID[:f.NumRegular]
-	slices.SortFunc(olds, func(a, b graph.Node) int {
-		if c := cmp.Compare(g.InDegree(b), g.InDegree(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for newID, old := range olds {
-		f.NewID[old] = graph.Node(newID)
-	}
-}
-
 // extractor builds the three structures of the mixed representation, all
 // the same way: row i of a structure lists the new ids of the regular and
 // seed neighbours of node base+i, ascending. (An out-neighbour is never a
@@ -264,11 +232,8 @@ func (f *Filtered) sortRegularByInDegree() {
 // partition of the original one. The count pass sizes the three parts from
 // one class byte per neighbour; the fill pass writes each neighbour's new id
 // at its part's cursor, telling the parts apart by the id it has just read.
-// Only OrderDegreeDesc, whose regular ids are not monotone, sorts the
-// regular part afterwards (sorted == false).
 type extractor struct {
 	f           *Filtered
-	sorted      bool
 	count, fill time.Duration // summed over the structures built
 }
 
@@ -322,9 +287,6 @@ func (x *extractor) extract(base, rows int, adjPtr []int64, adjIdx []graph.Node)
 				seed++
 			}
 		}
-		if !x.sorted {
-			slices.Sort(row[:cuts[i][1]])
-		}
 	})
 	x.count += t1.Sub(t0)
 	x.fill += time.Since(t1)
@@ -377,9 +339,9 @@ func (f *Filtered) Validate() error {
 		}
 	}
 	// Edge conservation: every original edge appears exactly once across
-	// the three extracted structures. A loaded (Frozen) form carries
-	// neither the original graph nor the regular CSR, so only the full
-	// form can be cross-checked.
+	// the three extracted structures. A form loaded from a .mixp file
+	// carries neither the original graph nor the regular CSR, so only the
+	// full form can be cross-checked.
 	if f.G != nil {
 		stored := int64(len(f.RegIdx)) + int64(len(f.SeedIdx)) + int64(len(f.SinkIdx))
 		if stored != f.G.NumEdges() {
@@ -388,7 +350,7 @@ func (f *Filtered) Validate() error {
 	}
 	// Indices stay inside their range and every row ascends (multi-edges
 	// allowed): block cuts regular rows into per-column runs, and the
-	// extraction and PermuteRegular produce sorted rows without a final check.
+	// extraction produces sorted rows without a final check.
 	for _, part := range []struct {
 		name  string
 		ptr   []int64

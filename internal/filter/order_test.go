@@ -26,32 +26,6 @@ func TestOrderOriginalKeepsRelativeOrder(t *testing.T) {
 	}
 }
 
-func TestOrderDegreeDescSorts(t *testing.T) {
-	g, err := gen.Skewed(gen.SkewedConfig{
-		N: 1000, M: 8000,
-		RegularFrac: 0.5, SeedFrac: 0.25, SinkFrac: 0.2,
-		ZipfS: 1.3, ZipfV: 1, Seed: 33,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := FilterWithOptions(g, Options{Order: OrderDegreeDesc})
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for newID := 1; newID < f.NumRegular; newID++ {
-		prev, cur := f.OldID[newID-1], f.OldID[newID]
-		dp, dc := g.InDegree(prev), g.InDegree(cur)
-		if dp < dc {
-			t.Fatalf("regular range not degree-sorted at %d: %d(%d) then %d(%d)",
-				newID, prev, dp, cur, dc)
-		}
-		if dp == dc && prev > cur {
-			t.Fatalf("degree ties must preserve id order at %d", newID)
-		}
-	}
-}
-
 func TestOrderingsSameClasses(t *testing.T) {
 	g, err := gen.Skewed(gen.SkewedConfig{
 		N: 500, M: 3000,
@@ -63,8 +37,7 @@ func TestOrderingsSameClasses(t *testing.T) {
 	}
 	a := FilterWithOptions(g, Options{Order: OrderHubFirst})
 	b := FilterWithOptions(g, Options{Order: OrderOriginal})
-	c := FilterWithOptions(g, Options{Order: OrderDegreeDesc})
-	for _, f := range []*Filtered{a, b, c} {
+	for _, f := range []*Filtered{a, b} {
 		if f.NumRegular != a.NumRegular || f.NumSeed != a.NumSeed ||
 			f.NumSink != a.NumSink || f.NumIsolated != a.NumIsolated {
 			t.Fatal("ordering policy must not change class counts")
@@ -87,7 +60,7 @@ func TestPropertyOrderingsAreValidFilters(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, ord := range []RegularOrder{OrderHubFirst, OrderOriginal, OrderDegreeDesc} {
+		for _, ord := range []RegularOrder{OrderHubFirst, OrderOriginal} {
 			if FilterWithOptions(g, Options{Order: ord}).Validate() != nil {
 				return false
 			}

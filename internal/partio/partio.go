@@ -1,8 +1,8 @@
 // Package partio reads and writes the versioned on-disk partition format
 // `.mixp`: every array the serving engine touches — the filtered relabeling
 // and demux tables, seed/sink CSR/CSC, the 2-D block structures with their
-// per-source entry index, the out-degree snapshot, and the PR8 layout
-// decision (reorder strategy + block side) — stored little-endian, 64-byte
+// per-source entry index, the out-degree snapshot, and the layout decision
+// (block side + auto-tune provenance) — stored little-endian, 64-byte
 // aligned, and ready-to-use, so a server mmaps the file and serves
 // immediately with zero deserialization, page-cache-shared across processes
 // on one host.
@@ -52,10 +52,11 @@ const (
 	// size used by the format and of typical cache lines.
 	sectionAlign = 64
 
-	// metaLen is the fixed size of the META section payload.
-	metaLen = 16*8 + reorderLen
-	// reorderLen bounds the NUL-padded reorder-strategy string.
-	reorderLen = 24
+	// metaLen is the fixed size of the META section payload: sixteen
+	// 8-byte words and a reserved 24-byte slot. Writers zero the slot and
+	// readers ignore it (files written before the slot was reserved hold a
+	// NUL-padded strategy name there; their NEWID/OLDID carry its effect).
+	metaLen = 16*8 + 24
 )
 
 // Section ids. The id namespace is append-only: ids are never reused with
@@ -84,8 +85,8 @@ const (
 )
 
 // Meta is the decoded META section: the scalar shape of the partition plus
-// the baked layout decision. It is what /healthz reports for a mapped
-// partition.
+// the baked block-side provenance. It is what /healthz reports for a
+// mapped partition.
 type Meta struct {
 	// Node/edge shape of the filtered graph.
 	N           int
@@ -105,10 +106,8 @@ type Meta struct {
 	CompressedEntries int64
 	Splits            int64
 
-	// Layout decision baked in at build time (PR8): the reorder strategy
-	// applied to the regular range and whether Side came from the
-	// auto-tuner rather than the default ladder.
-	Reorder   string
+	// AutoTuned reports that Side came from the measured auto-tuner
+	// rather than block.DefaultSide or an explicit side.
 	AutoTuned bool
 
 	// Epoch identifies the build instant (UnixNano); servers expose it so
@@ -142,7 +141,6 @@ func (m *Meta) encode() []byte {
 		flags |= flagAutoTuned
 	}
 	le.PutUint64(buf[15*8:], flags)
-	copy(buf[16*8:], m.Reorder)
 	return buf
 }
 
@@ -171,17 +169,6 @@ func decodeMeta(b []byte) (Meta, error) {
 	}
 	flags := le.Uint64(b[15*8:])
 	m.AutoTuned = flags&flagAutoTuned != 0
-	name := b[16*8:]
-	end := 0
-	for end < len(name) && name[end] != 0 {
-		end++
-	}
-	m.Reorder = string(name[:end])
-	for _, c := range name[end:] {
-		if c != 0 {
-			return Meta{}, fmt.Errorf("partio: reorder name not NUL-terminated")
-		}
-	}
 	if m.N < 0 || m.R < 0 || m.NumBlocks < 0 || m.Nnz < 0 || m.CompressedEntries < 0 {
 		return Meta{}, fmt.Errorf("partio: negative count in META")
 	}

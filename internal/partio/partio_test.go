@@ -7,13 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"mixen/internal/algo"
 	"mixen/internal/block"
+	"mixen/internal/core"
 	"mixen/internal/filter"
 	"mixen/internal/graph"
-	"mixen/internal/reorder"
 )
 
 // buildCase filters and partitions a deterministic pseudo-random graph.
@@ -107,9 +109,6 @@ func comparePartition(t testing.TB, want, got *block.Partition) {
 
 func compareFiltered(t testing.TB, want, got *filter.Filtered) {
 	t.Helper()
-	if !got.Frozen {
-		t.Fatalf("loaded form not marked Frozen")
-	}
 	if want.NumHub != got.NumHub || want.NumRegular != got.NumRegular || want.NumSeed != got.NumSeed ||
 		want.NumSink != got.NumSink || want.NumIsolated != got.NumIsolated {
 		t.Fatalf("class counts mismatch")
@@ -132,7 +131,7 @@ func TestRoundTrip(t *testing.T) {
 		name    string
 		n, m    int
 		side    int
-		permute bool
+		permute bool // original order inside the regular range, not hub-first
 	}{
 		{name: "skewed", n: 500, m: 4000, side: 64},
 		{name: "small_side_splits", n: 300, m: 6000, side: 32},
@@ -142,21 +141,14 @@ func TestRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f, p, deg := buildCase(t, tc.n, tc.m, 42, tc.side)
-			lay := Layout{Reorder: "", Epoch: 12345}
+			lay := Layout{Epoch: 12345}
 			if tc.permute {
-				perm, err := reorder.PermutationFromDegrees(f.RegularInDegrees(), reorder.HubSort, 0)
-				if err != nil {
-					t.Fatalf("perm: %v", err)
-				}
-				if err := f.PermuteRegular(perm); err != nil {
-					t.Fatalf("PermuteRegular: %v", err)
-				}
+				f = filter.FilterWithOptions(f.G, filter.Options{Order: filter.OrderOriginal})
 				var e error
 				p, e = block.NewPartition(f.RegPtr, f.RegIdx, f.NumRegular, block.Config{Side: tc.side, MaxLoadFactor: 2})
 				if e != nil {
 					t.Fatalf("NewPartition: %v", e)
 				}
-				lay.Reorder = string(reorder.HubSort)
 				lay.AutoTuned = true
 			}
 			path := writeTemp(t, f, p, deg, lay)
@@ -184,7 +176,7 @@ func TestRoundTrip(t *testing.T) {
 			}
 			m := pf.Meta
 			if m.N != f.N() || m.R != p.R || m.Side != p.Side || m.Epoch != 12345 ||
-				m.Reorder != lay.Reorder || m.AutoTuned != lay.AutoTuned {
+				m.AutoTuned != lay.AutoTuned {
 				t.Fatalf("meta mismatch: %+v", m)
 			}
 			if m.GraphEdges != f.G.NumEdges() {
@@ -215,6 +207,8 @@ func TestRoundTripEmptyGraph(t *testing.T) {
 	}
 }
 
+// A mapped form is physically read-only: a stray write into it faults
+// instead of silently changing what every process sharing the file serves.
 func TestLoadedFormIsFrozen(t *testing.T) {
 	f, p, deg := buildCase(t, 200, 1500, 7, 32)
 	path := writeTemp(t, f, p, deg, Layout{Epoch: 1})
@@ -223,12 +217,62 @@ func TestLoadedFormIsFrozen(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer pf.Close()
-	perm := make([]graph.Node, pf.F.NumRegular)
-	for i := range perm {
-		perm[i] = graph.Node(i)
+	if !pf.Mapped() {
+		t.Skip("no mmap on this platform: the form is an in-memory copy")
 	}
-	if err := pf.F.PermuteRegular(perm); err == nil {
-		t.Fatalf("PermuteRegular on a frozen form must fail")
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	faulted := func() (faulted bool) {
+		defer func() { faulted = recover() != nil }()
+		pf.F.NewID[0]++
+		return false
+	}()
+	if !faulted {
+		t.Fatalf("a write into the mapped form did not fault")
+	}
+}
+
+// TestLegacyMetaSlotIgnored: files written before the 24-byte META slot was
+// reserved may hold a post-filter reorder strategy's name there. The name is
+// not read; the permutation it made lives in NEWID/OLDID and the blocks, so
+// such a file opens and serves exactly what it served before.
+func TestLegacyMetaSlotIgnored(t *testing.T) {
+	f, p, deg := buildCase(t, 400, 3000, 5, 64)
+	path := writeTemp(t, f, p, deg, Layout{Epoch: 1})
+	b := readFile(t, path)
+	slot := b[sectionOffset(t, b, secMeta)+16*8:][:24]
+	if !bytes.Equal(slot, make([]byte, 24)) {
+		t.Fatalf("reserved META slot written as %q, want zeros", slot)
+	}
+	copy(slot, "hubsort")
+	binary.LittleEndian.PutUint64(b[32:], checksum(b[headerLen:]))
+	legacy := filepath.Join(t.TempDir(), "legacy.mixp")
+	if err := os.WriteFile(legacy, b, 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	pf, err := Open(legacy)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer pf.Close()
+	comparePartition(t, p, pf.P)
+	compareFiltered(t, f, pf.F)
+
+	run := func(f *filter.Filtered, p *block.Partition) []float64 {
+		e, err := core.NewFromPrebuilt(f, p, core.Config{Threads: 2})
+		if err != nil {
+			t.Fatalf("NewFromPrebuilt: %v", err)
+		}
+		res, err := e.Run(algo.NewPageRankShared(f.N(), deg, 0.85, 0, 20))
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res.Values
+	}
+	want, got := run(f, p), run(pf.F, pf.P)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("node %d: legacy file serves %v, original %v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -384,9 +428,6 @@ func TestWriteRejectsBadInput(t *testing.T) {
 	}
 	if err := Write(filepath.Join(dir, "x.mixp"), f, p, deg[:10], Layout{}); err == nil {
 		t.Fatalf("short out-degree snapshot accepted")
-	}
-	if err := Write(filepath.Join(dir, "x.mixp"), f, p, deg, Layout{Reorder: strings.Repeat("x", reorderLen+1)}); err == nil {
-		t.Fatalf("oversized reorder name accepted")
 	}
 	// A failed write must not leave the temp file behind.
 	ents, err := os.ReadDir(dir)

@@ -28,7 +28,7 @@ type Options struct {
 // cache with every other process that opened the same file.
 //
 // F and P are frozen: immutable per the engine's PR2 contract and, when
-// mapped, physically read-only (writes would fault). They remain valid
+// mapped, physically read-only (a stray write faults). They remain valid
 // until Close; Close after the last query, not before.
 type File struct {
 	Meta   Meta
@@ -274,7 +274,6 @@ func assemble(path string, data []byte, mapped bool, o Options) (*File, error) {
 		SeedIdx:     seedIdx,
 		SinkPtr:     sinkPtr,
 		SinkIdx:     sinkIdx,
-		Frozen:      true,
 	}
 	p, err := block.AssembleFlat(block.Flat{
 		R:           m.R,

@@ -12,14 +12,13 @@ import (
 	"mixen/internal/filter"
 )
 
-// Layout is the build-time layout decision baked into the file: how the
-// regular range was reordered and whether the block side came from the
-// auto-tuner. Servers report it from /healthz so a fleet can tell which
-// tuning generation each process mapped.
+// Layout is the build-time provenance baked into the file: whether the
+// block side came from the auto-tuner, and when the file was built.
+// Servers report it from /healthz so a fleet can tell which tuning
+// generation each process mapped.
 type Layout struct {
-	Reorder   string // reorder strategy name (reorder.Strategy)
-	AutoTuned bool   // Side chosen by the measured auto-tuner
-	Epoch     int64  // build instant, UnixNano; 0 means "now"
+	AutoTuned bool  // Side chosen by the measured auto-tuner
+	Epoch     int64 // build instant, UnixNano; 0 means "now"
 }
 
 // Write serializes the filtered form f, its partition p, and the original
@@ -30,8 +29,8 @@ type Layout struct {
 //
 // The regular CSR (f.RegPtr/RegIdx) is deliberately NOT stored: the
 // partition already encodes the regular submatrix, and no serving path
-// reads the CSR. A reloaded form therefore cannot be re-permuted or
-// re-partitioned — it is frozen serving state.
+// reads the CSR. A reloaded form therefore cannot be re-partitioned — it is
+// read-only serving state.
 func Write(path string, f *filter.Filtered, p *block.Partition, outDeg []float64, lay Layout) (err error) {
 	if !nativeLittleEndian() {
 		return errBigEndian("write")
@@ -44,9 +43,6 @@ func Write(path string, f *filter.Filtered, p *block.Partition, outDeg []float64
 	}
 	if len(outDeg) != f.N() {
 		return fmt.Errorf("partio: write: out-degree snapshot has %d entries, graph has %d nodes", len(outDeg), f.N())
-	}
-	if len(lay.Reorder) > reorderLen {
-		return fmt.Errorf("partio: write: reorder name %q longer than %d bytes", lay.Reorder, reorderLen)
 	}
 	meta := Meta{
 		N:                 f.N(),
@@ -62,7 +58,6 @@ func Write(path string, f *filter.Filtered, p *block.Partition, outDeg []float64
 		Nnz:               p.Nnz,
 		CompressedEntries: p.CompressedEntries,
 		Splits:            p.Splits,
-		Reorder:           lay.Reorder,
 		AutoTuned:         lay.AutoTuned,
 		Epoch:             lay.Epoch,
 	}

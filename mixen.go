@@ -53,9 +53,7 @@ import (
 	"mixen/internal/gen"
 	"mixen/internal/graph"
 	"mixen/internal/obs"
-	"mixen/internal/reorder"
 	"mixen/internal/sched"
-	"mixen/internal/tune"
 	"mixen/internal/vprog"
 )
 
@@ -78,53 +76,13 @@ type Result = vprog.Result
 // Engine is the interface shared by Mixen and the baselines.
 type Engine = vprog.Engine
 
-// Config tunes the Mixen engine (block side, threads, ablation toggles,
-// the skew-aware submatrix reordering Config.Reorder, and the measured
-// block-side auto-tuner Config.AutoTune).
+// Config tunes the Mixen engine (block side or the measured block-side
+// auto-tuner Config.AutoTune, threads, and the ablation toggles, among
+// them DisableHubOrder, the one layout choice inside the regular range).
 type Config = core.Config
 
 // Stats summarizes a graph's connectivity structure (Tables 1-2).
 type Stats = analyze.Stats
-
-// ReorderStrategy names a node-relabeling strategy. Graph-level
-// reorderings (ReorderGraph) accept every strategy; the engine's submatrix
-// reordering (Config.Reorder) accepts the degree-keyed ones
-// (DegreeReorderStrategies).
-type ReorderStrategy = reorder.Strategy
-
-// ReorderStrategies lists every strategy: original, degree, rcm, random,
-// hubsort, hubcluster, dbg.
-func ReorderStrategies() []ReorderStrategy { return reorder.Strategies() }
-
-// DegreeReorderStrategies lists the strategies keyed on a degree array
-// alone (everything but rcm) — the set Config.Reorder accepts.
-func DegreeReorderStrategies() []ReorderStrategy { return reorder.DegreeStrategies() }
-
-// ReorderGraph relabels a whole graph under the strategy and returns the
-// reordered graph plus the permutation (newID[old]).
-func ReorderGraph(g *Graph, s ReorderStrategy, seed int64) (*Graph, []Node, error) {
-	return reorder.Reorder(g, s, seed)
-}
-
-// GraphBandwidth returns the maximum |u-v| over edges — the classic matrix
-// bandwidth of the adjacency structure under the current labeling.
-func GraphBandwidth(g *Graph) int64 { return reorder.Bandwidth(g) }
-
-// GraphAvgSpan returns the mean |u-v| over edges under the current
-// labeling (lower span = better locality for blocked engines).
-func GraphAvgSpan(g *Graph) float64 { return reorder.AvgSpan(g) }
-
-// SideCandidate is one row of a block-side prediction (see PredictSide).
-type SideCandidate = tune.Candidate
-
-// PredictSide ranks the auto-tuner's candidate block sides for g under the
-// simulated cache hierarchy and returns the table plus the winning side —
-// the offline counterpart of Config.AutoTune's measured tuner. The cfg
-// controls the preprocessing the prediction sees (threads, ordering,
-// Config.Reorder).
-func PredictSide(g *Graph, cfg Config) ([]SideCandidate, int, error) {
-	return tune.PredictGraphSide(g, cfg, tune.Options{Threads: cfg.Threads})
-}
 
 // FromEdges builds a graph with n nodes from an edge list.
 func FromEdges(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }

@@ -9,8 +9,8 @@ import (
 )
 
 // PartitionMeta is the scalar shape and baked layout decision of a .mixp
-// partition file: node-class counts, partition geometry, the reorder
-// strategy and auto-tune flag persisted at build time, and the build epoch.
+// partition file: node-class counts, partition geometry, the auto-tune
+// flag persisted at build time, and the build epoch.
 type PartitionMeta = partio.Meta
 
 // PartitionOpenOptions tunes OpenPartition. The zero value verifies the
@@ -21,11 +21,11 @@ type PartitionOpenOptions = partio.Options
 // WritePartition serializes a preprocessed engine — the relabeling and
 // demux tables, seed/sink structures, the 2-D blocked partition with its
 // per-source entry index, the out-degree snapshot, and the layout decision
-// (reorder strategy + block side + auto-tune provenance) — into a .mixp
-// file that OpenPartition maps back with zero deserialization.
+// (block side + auto-tune provenance) — into a .mixp file that
+// OpenPartition maps back with zero deserialization.
 //
-// Build the engine with New (optionally with Config.Reorder/AutoTune so
-// the tuned layout is baked in).
+// Build the engine with New (optionally with Config.AutoTune or
+// DisableHubOrder; whatever layout it built is what the file holds).
 func WritePartition(path string, e *MixenEngine) error {
 	if e == nil {
 		return fmt.Errorf("mixen: WritePartition: nil engine")
@@ -34,11 +34,7 @@ func WritePartition(path string, e *MixenEngine) error {
 	if g == nil {
 		return fmt.Errorf("mixen: WritePartition: engine carries no source graph (a mapped engine cannot be re-serialized)")
 	}
-	reo, tuned := e.Layout()
-	return partio.Write(path, e.F, e.P, algo.OutDegrees(g), partio.Layout{
-		Reorder:   reo,
-		AutoTuned: tuned,
-	})
+	return partio.Write(path, e.F, e.P, algo.OutDegrees(g), partio.Layout{AutoTuned: len(e.Tuned) > 0})
 }
 
 // MappedEngine is a MixenEngine whose filtered form and partition are
@@ -59,8 +55,8 @@ type MappedEngine struct {
 // filter pass, no partitioning, no copies of the arrays. Header,
 // architecture and checksum are verified first (see PartitionOpenOptions).
 // Run-time Config knobs (Threads, SparseDensity, Trace, Collector, the
-// Disable* toggles) apply; build-time ones (Side, Reorder, AutoTune) are
-// baked into the file and rejected if they conflict.
+// Disable* toggles) apply; build-time ones (Side, AutoTune) are baked into
+// the file and rejected if they conflict.
 //
 // Files are used in place, never converted: one written in an older format
 // version (before version 2's flag-delimited destination streams) is
