@@ -8,10 +8,12 @@
 //     one consistent snapshot, and a swap retires the old state without
 //     interrupting requests already running against it.
 //   - result cache: an LRU (internal/servecache) keyed on
-//     (algo, params, source set, epoch) holding full per-source result
-//     vectors. Exact-mode entries are engine runs cached verbatim, so a
-//     hit is bit-identical to recomputing. Concurrent identical queries
-//     collapse onto one engine run (singleflight).
+//     (algo, params, source, nodes list, epoch) holding shaped answers:
+//     iterations, delta, the values at the requested nodes and the
+//     top-maxTop list. A run is shaped once, before it is inserted, so a
+//     hit copies O(K + len(nodes)) rows and reads no n-vector; it is
+//     bit-identical to recomputing. Concurrent identical queries collapse
+//     onto one engine run (singleflight).
 package main
 
 import (
@@ -102,29 +104,59 @@ func mappedState(me *mixen.MappedEngine, bcfg mixen.BatcherConfig) *engineState 
 	return newEngineState(me.MixenEngine, me, me.OutDegrees(), m.N, m.GraphEdges, part, m.Epoch, bcfg)
 }
 
-// resultSize accounts one cached *mixen.Result: the vector plus struct
-// and map-entry overhead.
-func resultSize(res *mixen.Result) int64 {
-	return int64(len(res.Values))*8 + 128
+// engineRun is one engine run before it is shaped: its result and the
+// size of the batch it ran in (0 on runs that bypass the batcher).
+type engineRun struct {
+	res  *mixen.Result
+	size int
 }
 
-// sourceRun is one answered run plus its serving metadata: the size of
-// the batch it ran in (0 on hits and on runs that bypass the batcher) and
-// whether the answer came from the cache or a collapsed flight instead of
-// a run of the caller's own. The caches store it as the run produced it.
+// sourceRun is one shaped answer plus its serving metadata: the size of
+// the batch it ran in (0 on hits) and whether the answer came from the
+// cache or a collapsed flight instead of a run of the caller's own. The
+// cache stores it as the run produced it; ans is shared by every request
+// the entry serves and is never written after shaping.
 type sourceRun struct {
-	res    *mixen.Result
+	ans    sourceResult
 	size   int
 	cached bool
 }
 
+// answerSize accounts one cached answer: 16 bytes per (node, value) row
+// plus struct and map-entry overhead.
+func answerSize(ans sourceResult) int64 {
+	return int64(len(ans.Top)+len(ans.Values))*16 + 128
+}
+
+// result is r as one response row: a copy of the shared answer carrying
+// this request's source, batch size and cache flag, cut to its top rows.
+// topK's order is total, so the first top rows of the top-maxTop list
+// are exactly topK(values, top).
+func (r sourceRun) result(src *uint32, top int) sourceResult {
+	out := r.ans
+	out.Source, out.BatchSize, out.Cached = src, r.size, r.cached
+	out.Top = out.Top[:min(top, len(out.Top))]
+	return out
+}
+
 // cachedAll answers the runs of one request through s.cache, one entry per
-// key: a fresh entry is served as-is (bit-identical — it IS a previous
-// engine run's vector), a key some other request is computing is waited
-// for (singleflight), and the keys left over are computed by ONE call of
-// run — handed their indices, ascending — and populate the cache. With
-// the cache disabled it degrades to run over every key.
-func (s *server) cachedAll(ctx context.Context, keys []string, run func(ctx context.Context, idx []int) ([]sourceRun, error)) ([]sourceRun, error) {
+// key: a fresh entry is served as-is, a key some other request is
+// computing is waited for (singleflight), and the keys left over are
+// computed by ONE call of exec — handed their indices, ascending — then
+// shaped for q and inserted. With the cache disabled it degrades to exec
+// over every key, shaped the same way.
+func (s *server) cachedAll(ctx context.Context, q querySpec, keys []string, exec func(ctx context.Context, idx []int) ([]engineRun, error)) ([]sourceRun, error) {
+	run := func(ctx context.Context, idx []int) ([]sourceRun, error) {
+		runs, err := exec(ctx, idx)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]sourceRun, len(runs))
+		for j, r := range runs {
+			out[j] = sourceRun{ans: shape(r.res, q.nodes, s.cfg.maxTop, q.algo == "bfs"), size: r.size}
+		}
+		return out, nil
+	}
 	cache := s.cache
 	if cache == nil {
 		all := make([]int, len(keys))
@@ -142,7 +174,7 @@ func (s *server) cachedAll(ctx context.Context, keys []string, run func(ctx cont
 		}
 		vals, sizes := make([]any, len(runs)), make([]int64, len(runs))
 		for j, r := range runs {
-			vals[j], sizes[j] = r, resultSize(r.res)
+			vals[j], sizes[j] = r, answerSize(r.ans)
 		}
 		return vals, sizes, nil
 	})
@@ -162,36 +194,9 @@ func (s *server) cachedAll(ctx context.Context, keys []string, run func(ctx cont
 	return runs, nil
 }
 
-// cachedOne is cachedAll for a request that is a single run.
-func (s *server) cachedOne(ctx context.Context, key string, run func(context.Context) (sourceRun, error)) (sourceRun, error) {
-	runs, err := s.cachedAll(ctx, []string{key}, func(ctx context.Context, _ []int) ([]sourceRun, error) {
-		r, err := run(ctx)
-		return []sourceRun{r}, err
-	})
-	if err != nil {
-		return sourceRun{}, err
-	}
-	return runs[0], nil
-}
-
-// cachedRuns is cachedAll for the per-source width-1 runs of one request:
-// the sources left over are computed TOGETHER — prog(i) builds the
-// program of keys[i] — so that they reach the batcher as one lane group,
-// and an all-miss request on an idle server is one fused run, exactly
-// like the uncached path.
-func (s *server) cachedRuns(ctx context.Context, st *engineState, keys []string, prog func(i int) mixen.Program) ([]sourceRun, error) {
-	return s.cachedAll(ctx, keys, func(ctx context.Context, idx []int) ([]sourceRun, error) {
-		progs := make([]mixen.Program, len(idx))
-		for j, i := range idx {
-			progs[j] = prog(i)
-		}
-		return s.runAll(ctx, st, progs)
-	})
-}
-
 // exactParams builds the canonical key for one exact-mode run.
 func exactParams(algo string, q querySpec, sources []uint32, epoch int64) servecache.Params {
-	p := servecache.Params{Algo: algo, Mode: "exact", Epoch: epoch, Sources: sources}
+	p := servecache.Params{Algo: algo, Mode: "exact", Epoch: epoch, Sources: sources, Nodes: q.nodes}
 	switch algo {
 	case "pagerank", "ppr":
 		p.Damping, p.Tol, p.Iters = q.damping, q.tol, q.iters

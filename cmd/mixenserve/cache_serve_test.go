@@ -3,11 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -41,42 +44,144 @@ func valuesOf(t *testing.T, resp queryResponse) map[uint32]float64 {
 // bit-exactly.
 const probeNodes = "0,1,2,3,5,8,13,21,34,55,89,144,233,377,610,987,1499"
 
-// TestCacheHitBitIdentity: for every algorithm, the second identical
-// query is served from cache (cached=true) and its values are
-// bit-identical to the first run AND to an uncached server's answer.
+// sameAnswer reports whether two response rows carry the same answer bit
+// for bit (source, iterations, delta, top list, node values); the
+// serving metadata (batch size, cached) is not part of the answer.
+func sameAnswer(a, b sourceResult) bool {
+	if (a.Source == nil) != (b.Source == nil) || (a.Source != nil && *a.Source != *b.Source) ||
+		a.Iterations != b.Iterations || math.Float64bits(a.Delta) != math.Float64bits(b.Delta) {
+		return false
+	}
+	same := func(x, y []nodeValue) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i].Node != y[i].Node || math.Float64bits(x[i].Value) != math.Float64bits(y[i].Value) {
+				return false
+			}
+		}
+		return true
+	}
+	return same(a.Top, b.Top) && same(a.Values, b.Values)
+}
+
+// TestCacheHitBitIdentity: for every algorithm, a miss at top=3 is
+// followed by hits at top 0, 1, 10 and maxTop — one entry serves every
+// top — and the same again with a nodes= list, which keys its own entry.
+// Every answer, miss or hit, is bit-identical to an uncached server's.
 func TestCacheHitBitIdentity(t *testing.T) {
 	cached := cachedTestServer(t)
 	plain := newTestServer(t, serverConfig{})
-	queries := []string{
-		"/v1/query?algo=pagerank&iters=30&tol=0&top=0&nodes=" + probeNodes,
-		"/v1/query?algo=ppr&source=3&iters=20&tol=0&top=0&nodes=" + probeNodes,
-		"/v1/query?algo=bfs&source=5&top=0&nodes=" + probeNodes,
-		"/v1/query?algo=indegree&top=0&nodes=" + probeNodes,
+	bases := []string{
+		"/v1/query?algo=pagerank&iters=30&tol=0",
+		"/v1/query?algo=ppr&source=3&iters=20&tol=0",
+		"/v1/query?algo=bfs&source=5",
+		"/v1/query?algo=indegree",
 	}
-	for _, q := range queries {
-		first := decodeResponse(t, get(cached, q))
-		if first.Results[0].Cached {
-			t.Errorf("%s: first run claims cached", q)
-		}
-		second := decodeResponse(t, get(cached, q))
-		if !second.Results[0].Cached {
-			t.Errorf("%s: second run not served from cache", q)
-		}
-		want := valuesOf(t, decodeResponse(t, get(plain, q)))
-		got1, got2 := valuesOf(t, first), valuesOf(t, second)
-		for node, w := range want {
-			if b1, b2 := math.Float64bits(got1[node]), math.Float64bits(got2[node]); b1 != b2 {
-				t.Errorf("%s node %d: cache hit not bit-identical (%x vs %x)", q, node, b1, b2)
+	var hits int64
+	for _, base := range bases {
+		for _, nodes := range []string{"", "&nodes=" + probeNodes} {
+			for i, top := range []int{3, 0, 1, 10, cached.cfg.maxTop} {
+				q := base + nodes + "&top=" + strconv.Itoa(top)
+				got := decodeResponse(t, get(cached, q))
+				if wantHit := i > 0; got.Results[0].Cached != wantHit {
+					t.Errorf("%s: cached = %v, want %v", q, got.Results[0].Cached, wantHit)
+				}
+				want := decodeResponse(t, get(plain, q))
+				if !sameAnswer(got.Results[0], want.Results[0]) {
+					t.Errorf("%s: cached server answers %+v, uncached %+v", q, got.Results[0], want.Results[0])
+				}
+				if !strings.Contains(base, "bfs") && len(got.Results[0].Top) != top {
+					t.Errorf("%s: %d top rows", q, len(got.Results[0].Top))
+				}
+				if i > 0 {
+					hits++
+				}
 			}
-			if bw, b1 := math.Float64bits(w), math.Float64bits(got1[node]); bw != b1 {
-				t.Errorf("%s node %d: cached server differs from uncached (%x vs %x)", q, node, bw, b1)
-			}
 		}
 	}
-	st := cached.cache.Stats()
-	if st.Hits < int64(len(queries)) {
-		t.Errorf("cache hits = %d, want >= %d", st.Hits, len(queries))
+	if st := cached.cache.Stats(); st.Hits != hits || st.Entries != 2*len(bases) {
+		t.Errorf("cache hits = %d, entries = %d, want %d and %d", st.Hits, st.Entries, hits, 2*len(bases))
 	}
+}
+
+// TestCacheEntryIsAnswerSized: an entry is the shaped answer, not the
+// n-vector, so after N distinct-source misses the cache holds at most
+// N·(maxTop·16 + 256) bytes whatever the graph's size.
+func TestCacheEntryIsAnswerSized(t *testing.T) {
+	big, err := mixen.GenerateSkewed(mixen.SkewedConfig{
+		N: 12000, M: 96000,
+		RegularFrac: 0.4, SeedFrac: 0.3, SinkFrac: 0.2,
+		ZipfS: 1.3, ZipfV: 1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*mixen.Graph{testGraph(t), big} {
+		s := newGraphServer(t, g, serverConfig{cacheBytes: 1 << 24})
+		const n = 16
+		for i := 0; i < n; i++ {
+			algo := []string{"ppr", "bfs"}[i%2]
+			resp := decodeResponse(t, get(s, fmt.Sprintf("/v1/query?algo=%s&source=%d&iters=10&top=%d", algo, 7*i+1, s.cfg.maxTop)))
+			if resp.Results[0].Cached {
+				t.Fatalf("%s from %d: a distinct source served from cache", algo, 7*i+1)
+			}
+		}
+		var hz healthzResponse
+		if err := jsonDecode(get(s, "/healthz"), &hz); err != nil {
+			t.Fatal(err)
+		}
+		limit := int64(n * (s.cfg.maxTop*16 + 256))
+		if hz.Cache == nil || hz.Cache.Entries != n || hz.Cache.SizeBytes > limit {
+			t.Errorf("n=%d: /healthz cache %+v, want %d entries in <= %d bytes", g.NumNodes(), hz.Cache, n, limit)
+		}
+	}
+}
+
+// FuzzTopKPrefix pins the rule one cached top-maxTop list relies on to
+// serve every top: topK's order is total (value, then the lower id), so
+// topK(v, k) is the first k rows of topK(v, K) for every k <= K, in both
+// directions, with ties and +Inf (BFS's unreachable) in the vector. Both
+// must also equal a stable sort of v cut to K.
+func FuzzTopKPrefix(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint8(4))
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 7, 0xf0}, uint8(10))
+	f.Add([]byte{}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, bigK uint8) {
+		values := make([]float64, min(len(raw), 512))
+		for i := range values {
+			if b := raw[i]; b >= 0xf0 {
+				values[i] = math.Inf(1)
+			} else {
+				values[i] = float64(int(b%16)-8) / 2 // few distinct values: ties
+			}
+		}
+		K := int(bigK)
+		for _, asc := range []bool{false, true} {
+			full := topK(values, K, asc)
+			var ref []nodeValue
+			for i, v := range values {
+				if !asc || !math.IsInf(v, 1) {
+					ref = append(ref, nodeValue{Node: uint32(i), Value: v})
+				}
+			}
+			sort.SliceStable(ref, func(a, b int) bool {
+				if asc {
+					return ref[a].Value < ref[b].Value
+				}
+				return ref[a].Value > ref[b].Value
+			})
+			if !slices.Equal(full, ref[:min(K, len(ref))]) {
+				t.Fatalf("asc=%v K=%d: topK %v, stable sort %v", asc, K, full, ref[:min(K, len(ref))])
+			}
+			for k := 0; k <= K; k++ {
+				if got := topK(values, k, asc); !slices.Equal(got, full[:min(k, len(full))]) {
+					t.Fatalf("asc=%v: topK(v, %d) = %v, not a prefix of topK(v, %d) = %v", asc, k, got, K, full)
+				}
+			}
+		}
+	})
 }
 
 // TestCacheSharedAcrossSourceSets: ppr caches per source, so {1,2} then
@@ -97,8 +202,9 @@ func TestCacheSharedAcrossSourceSets(t *testing.T) {
 	}
 }
 
-// TestCacheSingleflightCollapse: concurrent identical queries collapse
-// onto one engine run; every response carries the same values.
+// TestCacheSingleflightCollapse: concurrent queries that differ only in
+// top collapse onto one engine run and one shared answer; each response
+// is that answer cut to its own top.
 func TestCacheSingleflightCollapse(t *testing.T) {
 	s := newTestServer(t, serverConfig{cacheBytes: 1 << 22, maxConcurrent: 8, maxQueue: 64})
 	const callers = 8
@@ -110,20 +216,20 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-				"/v1/query?algo=pagerank&iters=40&tol=0&top=0&nodes="+probeNodes, nil))
+				"/v1/query?algo=pagerank&iters=40&tol=0&top="+strconv.Itoa(i)+"&nodes="+probeNodes, nil))
 			if rec.Code == http.StatusOK {
 				responses[i] = decodeResponse(t, rec)
 			}
 		}(i)
 	}
 	wg.Wait()
-	want := valuesOf(t, responses[0])
-	for i := 1; i < callers; i++ {
-		got := valuesOf(t, responses[i])
-		for node, w := range want {
-			if math.Float64bits(w) != math.Float64bits(got[node]) {
-				t.Fatalf("caller %d node %d differs", i, node)
-			}
+	want := responses[callers-1].Results[0]
+	for i := 0; i < callers; i++ {
+		// Every caller asked its own top; all share one entry, cut to it.
+		cut := want
+		cut.Top = want.Top[:i]
+		if got := responses[i].Results[0]; !sameAnswer(got, cut) {
+			t.Fatalf("caller %d: %+v, want %+v", i, got, cut)
 		}
 	}
 	st := s.cache.Stats()

@@ -59,8 +59,8 @@ type serverConfig struct {
 	// (id, algo, batch, queue wait, total latency, outcome).
 	accessLog io.Writer
 	// cacheBytes bounds the result cache (0 disables caching; queries
-	// then always run). Exact-mode hits are previous engine runs served
-	// verbatim, so they are bit-identical to recomputing.
+	// then always run). A hit serves the answer a previous engine run was
+	// shaped into, so it is bit-identical to recomputing.
 	cacheBytes int64
 	// cacheTTL bounds a cached entry's lifetime. 0 picks the 5-minute
 	// default when the cache is on; negative disables expiry.
@@ -134,8 +134,8 @@ type server struct {
 	reg  *mixen.MetricsRegistry
 	cfg  serverConfig
 
-	// cache holds full per-source result vectors keyed on (algo, params,
-	// source, epoch); nil when disabled.
+	// cache holds shaped per-source answers keyed on (algo, params,
+	// source, nodes list, epoch); nil when disabled.
 	cache *servecache.Cache
 
 	// retired collects engine states replaced by swaps; Shutdown closes
@@ -479,7 +479,7 @@ func parseNodeList(v url.Values, key, altKey string, n, maxLen int) ([]uint32, e
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad node id %q", key, p)
 		}
-		if n > 0 && id >= uint64(n) {
+		if id >= uint64(n) {
 			return nil, fmt.Errorf("%s: node %d out of range (graph has %d nodes)", key, id, n)
 		}
 		ids = append(ids, uint32(id))
@@ -688,60 +688,44 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
 }
 
 // execute runs one decoded query against the st snapshot and shapes the
-// response. Exact answers flow through the result cache (bit-identical
-// on hits, singleflight-collapsed on concurrent misses).
+// response. All four algorithms take one path: exec runs the keys the
+// cache misses, cachedAll shapes those runs into answers (bit-identical
+// on hits, singleflight-collapsed on concurrent misses), and each answer
+// is cut to the request's top.
 func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*queryResponse, error) {
-	resp := &queryResponse{
-		Algo:  q.algo,
-		Nodes: st.n,
-		Edges: st.edges,
-	}
 	n := st.n
+	var (
+		keys []string
+		exec func(ctx context.Context, idx []int) ([]engineRun, error)
+	)
 	switch q.algo {
 	case "indegree":
 		// InDegree's Scale (1) differs from the PageRank family's (1/deg),
 		// so it must not share a fused batch — it runs directly. One SpMV
 		// pass IS the in-degree; more iterations compute matrix powers, so
 		// the generic default does not apply.
-		iters := 1
-		if q.itersSet {
-			iters = q.iters
+		if !q.itersSet {
+			q.iters = 1
 		}
-		qi := q
-		qi.iters = iters
-		key := exactParams("indegree", qi, nil, st.epoch).Key()
-		run, err := s.cachedOne(ctx, key, func(ctx context.Context) (sourceRun, error) {
-			res, err := st.eng.RunCtx(ctx, mixen.NewInDegreeProgram(iters))
-			return sourceRun{res: res}, err
-		})
-		if err != nil {
-			return nil, err
+		keys = []string{exactParams("indegree", q, nil, st.epoch).Key()}
+		exec = func(ctx context.Context, _ []int) ([]engineRun, error) {
+			res, err := st.eng.RunCtx(ctx, mixen.NewInDegreeProgram(q.iters))
+			return []engineRun{{res: res}}, err
 		}
-		r := shape(nil, run.res, 0, q, false)
-		r.Cached = run.cached
-		resp.Results = []sourceResult{r}
-		return resp, nil
 	case "pagerank":
-		key := exactParams("pagerank", q, nil, st.epoch).Key()
-		runs, err := s.cachedRuns(ctx, st, []string{key}, func(int) mixen.Program {
+		keys = []string{exactParams("pagerank", q, nil, st.epoch).Key()}
+		exec = s.batched(st, func(int) mixen.Program {
 			return mixen.NewPageRankProgramShared(n, st.deg, q.damping, q.tol, q.iters)
 		})
-		if err != nil {
-			return nil, err
-		}
-		r := shape(nil, runs[0].res, runs[0].size, q, false)
-		r.Cached = runs[0].cached
-		resp.Results = []sourceResult{r}
-		return resp, nil
 	case "ppr", "bfs":
 		// One cache entry per source: a request for sources {a,b} and a
-		// later one for {b,c} share b's vector. The sources that miss go to
+		// later one for {b,c} share b's answer. The sources that miss go to
 		// the batcher as one lane group and fuse into one wide pass.
-		keys := make([]string, len(q.sources))
+		keys = make([]string, len(q.sources))
 		for i, src := range q.sources {
 			keys[i] = exactParams(q.algo, q, []uint32{src}, st.epoch).Key()
 		}
-		runs, err := s.cachedRuns(ctx, st, keys, func(i int) mixen.Program {
+		exec = s.batched(st, func(i int) mixen.Program {
 			src := q.sources[i]
 			switch {
 			case q.algo == "ppr":
@@ -754,77 +738,87 @@ func (s *server) execute(ctx context.Context, st *engineState, q querySpec) (*qu
 				return mixen.NewBFSProgramForN(n, src)
 			}
 		})
-		if err != nil {
-			return nil, err
-		}
-		resp.Results = make([]sourceResult, len(runs))
-		for i, run := range runs {
-			src := q.sources[i]
-			resp.Results[i] = shape(&src, run.res, run.size, q, q.algo == "bfs")
-			resp.Results[i].Cached = run.cached
-		}
-		return resp, nil
+	default:
+		return nil, fmt.Errorf("unreachable algo %q", q.algo) // parseQuery validated
 	}
-	return nil, fmt.Errorf("unreachable algo %q", q.algo) // parseQuery validated
-}
-
-// runAll executes the width-1 programs of one request: through the
-// batcher as one lane group — on an idle server ONE fused run — or, with
-// batching off, directly and concurrently.
-func (s *server) runAll(ctx context.Context, st *engineState, progs []mixen.Program) ([]sourceRun, error) {
-	outs := make([]sourceRun, len(progs))
-	if !s.cfg.useBatcher {
-		err := fanOut(len(progs), func(i int) (err error) {
-			outs[i].res, err = st.eng.RunCtx(ctx, progs[i])
-			return err
-		})
-		return outs, err
-	}
-	futs, err := st.bat.SubmitAllCtx(ctx, progs)
+	runs, err := s.cachedAll(ctx, q, keys, exec)
 	if err != nil {
 		return nil, err
 	}
-	for i, fut := range futs {
-		res, err := fut.WaitCtx(ctx)
+	resp := &queryResponse{Algo: q.algo, Nodes: n, Edges: st.edges, Results: make([]sourceResult, len(runs))}
+	for i, run := range runs {
+		var src *uint32
+		if len(q.sources) > 0 {
+			src = &q.sources[i]
+		}
+		resp.Results[i] = run.result(src, q.top)
+	}
+	return resp, nil
+}
+
+// batched is the exec of a request whose runs are width-1 programs —
+// prog(i) builds the program of key i. The keys left over run TOGETHER:
+// through the batcher as one lane group, so an all-miss request on an
+// idle server is ONE fused run, or, with batching off, directly and
+// concurrently.
+func (s *server) batched(st *engineState, prog func(i int) mixen.Program) func(context.Context, []int) ([]engineRun, error) {
+	return func(ctx context.Context, idx []int) ([]engineRun, error) {
+		progs := make([]mixen.Program, len(idx))
+		for j, i := range idx {
+			progs[j] = prog(i)
+		}
+		outs := make([]engineRun, len(progs))
+		if !s.cfg.useBatcher {
+			err := fanOut(len(progs), func(i int) (err error) {
+				outs[i].res, err = st.eng.RunCtx(ctx, progs[i])
+				return err
+			})
+			return outs, err
+		}
+		futs, err := st.bat.SubmitAllCtx(ctx, progs)
 		if err != nil {
 			return nil, err
 		}
-		outs[i] = sourceRun{res: res, size: fut.BatchSize()}
+		for i, fut := range futs {
+			res, err := fut.WaitCtx(ctx)
+			if err != nil {
+				return nil, err
+			}
+			outs[i] = engineRun{res: res, size: fut.BatchSize()}
+		}
+		return outs, nil
 	}
-	return outs, nil
 }
 
-// shape projects one run result into the response: requested nodes, then
-// the top-K (highest value for link analysis, closest for BFS hops).
-// Nodes BFS never reached carry +Inf, which JSON cannot encode; they are
-// omitted from Values the same way topK skips them.
-func shape(src *uint32, res *mixen.Result, batchSize int, q querySpec, ascending bool) sourceResult {
-	out := sourceResult{
-		Source:     src,
-		Iterations: res.Iterations,
-		Delta:      res.Delta,
-		BatchSize:  batchSize,
-	}
-	for _, id := range q.nodes {
+// shape projects one run into the answer a cache entry holds: the values
+// at nodes, in request order, then the top-k list (highest value for link
+// analysis, closest for BFS hops). Nodes BFS never reached carry +Inf,
+// which JSON cannot encode; they are omitted from Values the same way
+// topK skips them. The n-vector is not referenced afterwards.
+func shape(res *mixen.Result, nodes []uint32, k int, ascending bool) sourceResult {
+	out := sourceResult{Iterations: res.Iterations, Delta: res.Delta}
+	for _, id := range nodes {
 		if v := res.Values[id]; !math.IsInf(v, 0) {
 			out.Values = append(out.Values, nodeValue{Node: id, Value: v})
 		}
 	}
-	if q.top > 0 {
-		out.Top = topK(res.Values, q.top, ascending)
-	}
+	out.Top = topK(res.Values, k, ascending)
 	return out
 }
 
 // topK selects the K extreme (node, value) pairs by linear insertion —
 // O(nK) with K capped small by serverConfig.maxTop, no allocation beyond
 // the result. Ascending selects smallest-first (BFS hop counts; +Inf
-// unreachable nodes are skipped), descending selects largest-first.
+// unreachable nodes are skipped), descending selects largest-first. The
+// order is total — ties go to the lower id — so topK(v, k) is a prefix of
+// topK(v, K) for every k <= K (FuzzTopKPrefix), which lets one cached
+// top-maxTop list serve every top.
 func topK(values []float64, k int, ascending bool) []nodeValue {
-	if k > len(values) {
-		k = len(values)
-	}
+	k = min(k, len(values))
 	out := make([]nodeValue, 0, k)
+	if k == 0 {
+		return out
+	}
 	better := func(a, b float64) bool {
 		if ascending {
 			return a < b

@@ -33,7 +33,12 @@ func testGraph(t testing.TB) *mixen.Graph {
 
 func newTestServer(t testing.TB, cfg serverConfig) *server {
 	t.Helper()
-	g := testGraph(t)
+	return newGraphServer(t, testGraph(t), cfg)
+}
+
+// newGraphServer serves g with cfg, shut down when the test ends.
+func newGraphServer(t testing.TB, g *mixen.Graph, cfg serverConfig) *server {
+	t.Helper()
 	reg := mixen.NewMetricsRegistry()
 	eng, err := mixen.New(g, mixen.Config{Collector: reg})
 	if err != nil {
@@ -115,6 +120,19 @@ func TestParseQuery(t *testing.T) {
 		if _, err := parseQuery(v, n, cfg); err == nil {
 			t.Errorf("parseQuery(%q) succeeded, want error", q)
 		}
+	}
+
+	// On an empty graph every id is out of range: nodes= and sources= are
+	// rejected like any other bad id, not passed on to index a 0-length
+	// result.
+	for _, q := range []string{"algo=pagerank&nodes=5", "algo=pagerank&nodes=0", "algo=indegree&nodes=0", "algo=ppr&source=0"} {
+		v, _ := url.ParseQuery(q)
+		if _, err := parseQuery(v, 0, cfg); err == nil {
+			t.Errorf("parseQuery(%q) on a 0-node graph succeeded, want error", q)
+		}
+	}
+	if _, err := parseQuery(url.Values{"algo": {"pagerank"}}, 0, cfg); err != nil {
+		t.Errorf("pagerank with no ids on a 0-node graph: %v, want ok", err)
 	}
 
 	// A request asking past maxTimeout is clamped, not rejected: the
@@ -337,6 +355,7 @@ func FuzzServeQuery(f *testing.F) {
 		"algo=ppr&sources=1,2,3&top=5",
 		"algo=bfs&source=0",
 		"algo=indegree&nodes=1,2",
+		"algo=pagerank&nodes=5",
 		"algo=ppr&source=4294967295",
 		"algo=pagerank&damping=NaN&tol=Inf",
 		"algo=pagerank&iters=-1&top=99999999999999999999",
@@ -352,38 +371,46 @@ func FuzzServeQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		const n = 1000
-		spec, err := parseQuery(v, n, cfg)
-		if err != nil {
-			return
-		}
-		if spec.iters < 1 || spec.iters > cfg.maxIters {
-			t.Fatalf("accepted iters %d outside [1, %d]", spec.iters, cfg.maxIters)
-		}
-		if spec.top < 0 || spec.top > cfg.maxTop {
-			t.Fatalf("accepted top %d outside [0, %d]", spec.top, cfg.maxTop)
-		}
-		if spec.timeout <= 0 || spec.timeout > cfg.maxTimeout {
-			t.Fatalf("accepted timeout %v outside (0, %v]", spec.timeout, cfg.maxTimeout)
-		}
-		if math.IsInf(spec.tol, 0) || !(spec.tol >= 0) {
-			t.Fatalf("accepted tol %v, want finite and >= 0", spec.tol)
-		}
-		if spec.damping <= 0 || spec.damping >= 1 {
-			t.Fatalf("accepted damping %v outside (0, 1)", spec.damping)
-		}
-		if len(spec.sources) > cfg.maxSources {
-			t.Fatalf("accepted %d sources, cap %d", len(spec.sources), cfg.maxSources)
-		}
-		for _, src := range spec.sources {
-			if int(src) >= n {
-				t.Fatalf("accepted out-of-range source %d", src)
-			}
-		}
-		if needs := algoNeedsSource[spec.algo]; needs && len(spec.sources) == 0 {
-			t.Fatalf("accepted %q without sources", spec.algo)
+		for _, n := range []int{1000, 0} {
+			checkSpec(t, v, n, cfg)
 		}
 	})
+}
+
+// checkSpec parses v against an n-node graph and fails t if parseQuery
+// accepts anything outside the server's bounds.
+func checkSpec(t *testing.T, v url.Values, n int, cfg serverConfig) {
+	t.Helper()
+	spec, err := parseQuery(v, n, cfg)
+	if err != nil {
+		return
+	}
+	if spec.iters < 1 || spec.iters > cfg.maxIters {
+		t.Fatalf("accepted iters %d outside [1, %d]", spec.iters, cfg.maxIters)
+	}
+	if spec.top < 0 || spec.top > cfg.maxTop {
+		t.Fatalf("accepted top %d outside [0, %d]", spec.top, cfg.maxTop)
+	}
+	if spec.timeout <= 0 || spec.timeout > cfg.maxTimeout {
+		t.Fatalf("accepted timeout %v outside (0, %v]", spec.timeout, cfg.maxTimeout)
+	}
+	if math.IsInf(spec.tol, 0) || !(spec.tol >= 0) {
+		t.Fatalf("accepted tol %v, want finite and >= 0", spec.tol)
+	}
+	if spec.damping <= 0 || spec.damping >= 1 {
+		t.Fatalf("accepted damping %v outside (0, 1)", spec.damping)
+	}
+	if len(spec.sources) > cfg.maxSources {
+		t.Fatalf("accepted %d sources, cap %d", len(spec.sources), cfg.maxSources)
+	}
+	for _, id := range append(spec.sources, spec.nodes...) {
+		if int(id) >= n {
+			t.Fatalf("accepted out-of-range id %d on a %d-node graph", id, n)
+		}
+	}
+	if needs := algoNeedsSource[spec.algo]; needs && len(spec.sources) == 0 {
+		t.Fatalf("accepted %q without sources", spec.algo)
+	}
 }
 
 // pprTrace returns the newest completed ppr trace in /debug/traces.

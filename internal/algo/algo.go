@@ -123,6 +123,12 @@ func NewPageRank(g *graph.Graph, damping, tol float64, iters int) *PageRank {
 	return p
 }
 
+// Check implements vprog.Checker: damping in (0, 1) and a finite,
+// non-negative tolerance.
+func (p *PageRank) Check() error {
+	return Args{N: p.N, Rank: true, Damping: p.Damping, Tol: p.Tol}.Check()
+}
+
 // Width implements vprog.Program.
 func (p *PageRank) Width() int { return 1 }
 

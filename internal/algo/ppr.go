@@ -100,6 +100,12 @@ func (p *PersonalizedPageRank) teleport(v uint32) float64 {
 	return 0
 }
 
+// Check implements vprog.Checker: a source below N, damping in (0, 1)
+// and a finite, non-negative tolerance.
+func (p *PersonalizedPageRank) Check() error {
+	return Args{N: p.N, Sources: []uint32{p.Source}, Rank: true, Damping: p.Damping, Tol: p.Tol}.Check()
+}
+
 // Width implements vprog.Program.
 func (p *PersonalizedPageRank) Width() int { return 1 }
 

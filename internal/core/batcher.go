@@ -240,6 +240,9 @@ func (b *Batcher) SubmitAllCtx(ctx context.Context, progs []vprog.Program) ([]*F
 		if ring := prog.Ring(); int(ring) >= len(b.queues) {
 			return nil, fmt.Errorf("core: batcher: unknown ring %d", ring)
 		}
+		if err := vprog.Check(prog); err != nil {
+			return nil, fmt.Errorf("core: batcher: invalid program: %w", err)
+		}
 	}
 	futs := make([]*Future, len(progs))
 	enq, traces := time.Now(), obs.ContextTraces(ctx)

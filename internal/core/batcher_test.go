@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -349,5 +350,78 @@ func TestBatcherSharedTraceSpansNotDuplicated(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInvalidProgramReturnsError: a program whose parameters lie outside
+// its domain — NaN damping, an infinite or negative tolerance, a source
+// past the last node — is refused with its Check error by Engine.Run,
+// alone or as a lane of a fused batch, instead of answering NaN with a nil
+// error. Batcher.SubmitAllCtx refuses a group holding one and admits none
+// of it, while the lanes of the batch already running still answer.
+func TestInvalidProgramReturnsError(t *testing.T) {
+	g := skewedForConcurrency(t)
+	n := g.NumNodes()
+	e, err := New(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppr := func(src uint32) vprog.Program { return algo.NewPersonalizedPageRank(g, src, 0.85, 0, 10) }
+	bad := []vprog.Program{
+		algo.NewPageRank(g, math.NaN(), 1e-9, 10),
+		algo.NewPageRank(g, 0.85, math.Inf(1), 10),
+		algo.NewPersonalizedPageRank(g, 3, math.NaN(), 0, 10),
+		algo.NewPersonalizedPageRank(g, 3, 0.85, -1, 10),
+		algo.NewPersonalizedPageRank(g, uint32(n), 0.85, 0, 10),
+	}
+	for i, p := range bad {
+		want := vprog.Check(p)
+		if want == nil {
+			t.Fatalf("bad program %d passes Check", i)
+		}
+		if res, err := e.Run(p); res != nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Errorf("bad program %d: Run = (%v, %v), want (nil, %v)", i, res, err, want)
+		}
+		bp, err := vprog.NewBatch(n, ppr(1), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := e.Run(bp); res != nil || err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Errorf("bad program %d as lane 1: Run = (%v, %v), want (nil, %v)", i, res, err, want)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	e.SetCollector(reg)
+	b := NewBatcher(e, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour})
+	defer b.Close()
+	ctx := context.Background()
+	futs, err := b.SubmitAllCtx(ctx, []vprog.Program{ppr(1), ppr(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.SubmitAllCtx(ctx, []vprog.Program{ppr(4), bad[2]}); err == nil || !strings.Contains(err.Error(), vprog.Check(bad[2]).Error()) {
+		t.Fatalf("SubmitAllCtx with a NaN-damping lane: %v, want its Check error", err)
+	}
+	later, err := b.SubmitAllCtx(ctx, []vprog.Program{ppr(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fut := range append(futs, later...) {
+		src := []uint32{1, 2, 5}[i]
+		res, err := fut.Wait()
+		if err != nil {
+			t.Fatalf("lane from %d: %v", src, err)
+		}
+		want, err := e.Run(ppr(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameValues(res.Values, want.Values) || res.Iterations != want.Iterations {
+			t.Errorf("lane from %d differs from its standalone run", src)
+		}
+	}
+	if q := reg.Snapshot().Counters["batch.queries"]; q != 3 {
+		t.Errorf("batch.queries = %d, want 3: the refused group admitted a lane", q)
 	}
 }

@@ -379,6 +379,8 @@ func (s RunStats) Total() time.Duration { return s.PreTime + s.MainTime + s.Post
 
 // Run executes prog to convergence (or prog.MaxIter) and returns the final
 // values in original id order. Safe for concurrent callers on one engine.
+// Every Run* entry first calls prog's Check when it implements
+// vprog.Checker and returns that error without running.
 func (e *Engine) Run(prog vprog.Program) (*vprog.Result, error) {
 	res, _, err := e.RunWithStats(prog)
 	return res, err
@@ -506,6 +508,9 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 	w := prog.Width()
 	if w <= 0 {
 		return nil, RunStats{}, fmt.Errorf("core: program width %d must be positive", w)
+	}
+	if err := vprog.Check(prog); err != nil {
+		return nil, RunStats{}, fmt.Errorf("core: invalid program: %w", err)
 	}
 	n := e.F.N()
 	r := e.F.NumRegular

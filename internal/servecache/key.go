@@ -1,15 +1,17 @@
 // Package servecache is the serving-layer result cache behind
-// cmd/mixenserve: an LRU keyed on (algorithm, params, source set, graph
-// epoch) with byte-size accounting, TTL expiry, epoch invalidation and
-// singleflight collapsing of concurrent identical computations.
+// cmd/mixenserve: an LRU keyed on (algorithm, params, source set, nodes
+// list, graph epoch) with byte-size accounting, TTL expiry, epoch
+// invalidation and singleflight collapsing of concurrent identical
+// computations.
 //
-// The cache stores opaque values (the server caches per-source result
-// vectors); all policy — what is cacheable, how big a value is, which
-// epoch is current — belongs to the caller. Keys are produced by
-// Params.Key, whose canonicalization (sorted+deduplicated sources,
-// bit-exact float encoding, fixed field order) guarantees that two
-// requests asking for the same computation collide on one entry no
-// matter how the query string spelled them.
+// The cache stores opaque values (the server caches per-source shaped
+// answers: the top-K list and the values at the requested nodes); all
+// policy — what is cacheable, how big a value is, which epoch is current
+// — belongs to the caller. Keys are produced by Params.Key, whose
+// canonicalization (sorted+deduplicated sources, bit-exact float
+// encoding, fixed field order) guarantees that two requests asking for
+// the same computation collide on one entry no matter how the query
+// string spelled them.
 package servecache
 
 import (
@@ -39,6 +41,10 @@ type Params struct {
 	// Sources is the personalization/root set. Order and duplicates are
 	// canonicalized away by Key; nil for global algorithms.
 	Sources []uint32
+	// Nodes lists the nodes whose values the answer carries. Unlike
+	// Sources it is kept in request order, duplicates included, because
+	// the answer lists the values in that order; nil for none.
+	Nodes []uint32
 	// Epoch is the graph epoch the result belongs to (the .mixp build
 	// epoch for mapped partitions, 0 for graphs built in-process).
 	// Results from different epochs never share an entry.
@@ -54,10 +60,12 @@ type Params struct {
 //   - injective on floats: Damping/Tol are encoded from their IEEE-754
 //     bits, so distinct float values (including negative zero vs zero)
 //     yield distinct keys and no precision is lost to formatting;
+//   - order-preserving on nodes: Nodes lists that differ in order or
+//     multiplicity yield distinct keys;
 //   - epoch-separating: different Epoch values never collide.
 func (p Params) Key() string {
 	var b strings.Builder
-	b.Grow(64 + 9*len(p.Sources))
+	b.Grow(64 + 9*(len(p.Sources)+len(p.Nodes)))
 	b.WriteString("v1|")
 	b.WriteString(p.Algo)
 	b.WriteByte('|')
@@ -71,13 +79,20 @@ func (p Params) Key() string {
 	b.WriteString("|i=")
 	b.WriteString(strconv.Itoa(p.Iters))
 	b.WriteString("|s=")
-	for i, s := range canonicalSources(p.Sources) {
+	writeIDs(&b, canonicalSources(p.Sources))
+	b.WriteString("|n=")
+	writeIDs(&b, p.Nodes)
+	return b.String()
+}
+
+// writeIDs writes ids comma-separated.
+func writeIDs(b *strings.Builder, ids []uint32) {
+	for i, id := range ids {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(strconv.FormatUint(uint64(s), 10))
+		b.WriteString(strconv.FormatUint(uint64(id), 10))
 	}
-	return b.String()
 }
 
 // writeFloatBits encodes f bit-exactly as 16 hex digits. Formatting via

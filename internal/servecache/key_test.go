@@ -48,11 +48,37 @@ func TestKeySeparatesFields(t *testing.T) {
 		{Algo: "ppr", Mode: "exact", Damping: 0.85, Tol: 1e-8, Iters: 51, Sources: []uint32{1}, Epoch: 1},
 		{Algo: "ppr", Mode: "exact", Damping: 0.85, Tol: 1e-8, Iters: 50, Sources: []uint32{2}, Epoch: 1},
 		{Algo: "ppr", Mode: "exact", Damping: 0.85, Tol: 1e-8, Iters: 50, Sources: []uint32{1}, Epoch: 2},
+		{Algo: "ppr", Mode: "exact", Damping: 0.85, Tol: 1e-8, Iters: 50, Sources: []uint32{1}, Nodes: []uint32{1}, Epoch: 1},
 	}
 	for i, m := range mutations {
 		if m.Key() == base.Key() {
 			t.Errorf("mutation %d collided with base key %s", i, base.Key())
 		}
+	}
+}
+
+// TestKeyNodesInRequestOrder: the answer lists node values in request
+// order, so unlike Sources the Nodes list is not canonicalized — order and
+// multiplicity separate keys — while nil and empty mean the same.
+func TestKeyNodesInRequestOrder(t *testing.T) {
+	base := Params{Algo: "ppr", Mode: "exact", Sources: []uint32{1}, Nodes: []uint32{3, 1, 2}}
+	for _, nodes := range [][]uint32{{1, 2, 3}, {3, 1, 2, 2}, {3, 1}, nil} {
+		p := base
+		p.Nodes = nodes
+		if p.Key() == base.Key() {
+			t.Errorf("nodes %v collided with %v: %s", nodes, base.Nodes, base.Key())
+		}
+	}
+	empty := base
+	empty.Nodes = []uint32{}
+	none := base
+	none.Nodes = nil
+	if empty.Key() != none.Key() {
+		t.Errorf("empty and nil node lists keyed apart:\n%s\n%s", empty.Key(), none.Key())
+	}
+	moved := Params{Algo: "ppr", Mode: "exact", Sources: []uint32{1, 3}}
+	if moved.Key() == (Params{Algo: "ppr", Mode: "exact", Sources: []uint32{1}, Nodes: []uint32{3}}).Key() {
+		t.Error("an id moved from Nodes to Sources kept the key")
 	}
 }
 
@@ -117,6 +143,16 @@ func FuzzCacheKey(f *testing.F) {
 		pi.Iters = iters + 1
 		if pi.Key() == key {
 			t.Fatal("iters change did not change key")
+		}
+
+		// The sources as a nodes list always separate, and so does each
+		// node appended to it.
+		pn := p
+		for len(pn.Nodes) < 3 {
+			pn.Nodes = append(pn.Nodes, uint32(len(pn.Nodes)))
+			if pn.Key() == key {
+				t.Fatalf("nodes %v did not change key %q", pn.Nodes, key)
+			}
 		}
 	})
 }

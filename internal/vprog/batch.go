@@ -108,6 +108,17 @@ func NewBatch(n int, progs ...Program) (*Batch, error) {
 	return b, nil
 }
 
+// Check implements Checker: the first lane whose parameters are invalid
+// fails the whole batch.
+func (b *Batch) Check() error {
+	for i, p := range b.progs {
+		if err := Check(p); err != nil {
+			return fmt.Errorf("vprog: batch lane %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Lanes returns the number of fused programs.
 func (b *Batch) Lanes() int { return len(b.progs) }
 

@@ -101,6 +101,24 @@ type Program interface {
 	MaxIter() int
 }
 
+// Checker is an optional Program extension for programs whose parameters
+// can lie outside the domain they are defined on (a NaN damping factor, a
+// source past the last node). Engines call it before a run and return its
+// error instead of running, so a caller gets the error rather than a
+// vector of NaN with a nil error.
+type Checker interface {
+	Check() error
+}
+
+// Check returns p's Check error when p implements Checker, and nil
+// otherwise.
+func Check(p Program) error {
+	if c, ok := p.(Checker); ok {
+		return c.Check()
+	}
+	return nil
+}
+
 // Result is the outcome of an engine run.
 type Result struct {
 	// Values holds the final properties in ORIGINAL id order, Width lanes
