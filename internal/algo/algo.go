@@ -153,7 +153,7 @@ func (p *PageRank) Scale(u uint32) float64 {
 // value bit-for-bit and return 0, satisfying the quiescence contract while
 // giving frontier-tracking engines real per-node convergence to exploit.
 func (p *PageRank) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := (1-p.Damping)/float64(p.N) + p.Damping*sum[0]
+	next := (1-p.Damping)/float64(p.N) + float64(p.Damping*sum[0])
 	d := math.Abs(next - prev[0])
 	if d < p.NodeTol {
 		out[0] = prev[0]
@@ -219,7 +219,7 @@ func (p *CF) Apply(v uint32, sum, prev, out []float64) float64 {
 	var d float64
 	for l := range out {
 		anchor := hash01(uint64(v)*0x9e3779b97f4a7c15 + uint64(l))
-		next := (1-p.Mix)*anchor + p.Mix*sum[l]
+		next := float64((1-p.Mix)*anchor) + float64(p.Mix*sum[l])
 		d += math.Abs(next - prev[l])
 		out[l] = next
 	}
@@ -291,6 +291,9 @@ func (p *BFS) Apply(v uint32, sum, prev, out []float64) float64 {
 	return changed
 }
 
+// MinApply implements vprog.MinApplier: Apply is min(prev, sum).
+func (p *BFS) MinApply() {}
+
 // Converged implements vprog.Program: stop when no label changed.
 func (p *BFS) Converged(delta float64, iter int) bool { return delta == 0 }
 
@@ -332,6 +335,9 @@ func (p *CC) Apply(v uint32, sum, prev, out []float64) float64 {
 	out[0] = next
 	return changed
 }
+
+// MinApply implements vprog.MinApplier: Apply is min(prev, sum).
+func (p *CC) MinApply() {}
 
 // Converged implements vprog.Program.
 func (p *CC) Converged(delta float64, iter int) bool { return delta == 0 }

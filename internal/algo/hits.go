@@ -130,7 +130,7 @@ func SALSA(g *graph.Graph, iters int, tol float64) *SALSAScores {
 func normalizeL2(v []float64) {
 	var sum float64
 	for _, x := range v {
-		sum += x * x
+		sum += float64(x * x)
 	}
 	if sum == 0 {
 		return

@@ -130,7 +130,7 @@ func (p *PersonalizedPageRank) Scale(u uint32) float64 {
 // Apply implements vprog.Program. Sub-NodeTol movements keep the previous
 // value bit-for-bit and return 0 (per-node quiescence, see algo.PageRank).
 func (p *PersonalizedPageRank) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := (1-p.Damping)*p.teleport(v) + p.Damping*sum[0]
+	next := float64((1-p.Damping)*p.teleport(v)) + float64(p.Damping*sum[0])
 	d := math.Abs(next - prev[0])
 	if d < p.NodeTol {
 		out[0] = prev[0]

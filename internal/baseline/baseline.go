@@ -69,7 +69,7 @@ type setup struct {
 	pool    *sync.Pool  // owning pool, for release
 	accs    [][]float64 // per-worker/partition w-lane accumulators
 	scratch []float64   // per-worker/partition reduction slots
-	bins    []float64   // dynamic-bin values (blocked engine only)
+	bins    []float64   // dynamic-bin values (blocked engine) or per-source messages (pull)
 }
 
 // runPool recycles setups across runs, keyed by program width. The zero
@@ -133,8 +133,9 @@ func (s *setup) scratchFloats(k int) []float64 {
 	return s.scratch[:k]
 }
 
-// binSpace returns a reusable flat dynamic-bin array of k values (contents
-// undefined — every Scatter rewrites the bins it gathers).
+// binSpace returns a reusable flat array of k values: the blocked engine's
+// dynamic bins, the pull engine's per-source messages (contents undefined
+// — every Scatter or message pass rewrites what is read after it).
 func (s *setup) binSpace(k int) []float64 {
 	if cap(s.bins) < k {
 		s.bins = make([]float64, k)

@@ -136,7 +136,7 @@ func (p *Polymer) Run(prog vprog.Program) (*vprog.Result, error) {
 						sc := s.scale[u]
 						ub := int(u) * w
 						for l := 0; l < w; l++ {
-							acc[l] += s.x[ub+l] * sc
+							acc[l] += float64(s.x[ub+l] * sc)
 						}
 					}
 				} else {

@@ -59,6 +59,10 @@ func (p *Pull) Run(prog vprog.Program) (*vprog.Result, error) {
 	workers := maxInt(p.threads, 1)
 	partial := s.scratchFloats(workers)
 	accs := s.lanes(workers)
+	// msg[u*w+l] is source u's message send(x_u, scale_u) in lane l,
+	// computed once per iteration: the edge loop then reads one value per
+	// in-edge instead of x and scale (GraphMat's per-vertex message).
+	msg := s.binSpace(n * w)
 	runs, iters, iterNs := p.runInstruments(p.Name())
 	runs.Inc()
 	for iter < prog.MaxIter() {
@@ -66,6 +70,16 @@ func (p *Pull) Run(prog vprog.Program) (*vprog.Result, error) {
 		for i := range partial {
 			partial[i] = 0
 		}
+		x := s.x
+		sched.ForStatic(n, p.threads, func(_, lo, hi int) {
+			for u := lo; u < hi; u++ {
+				sc := s.scale[u]
+				mb := msg[u*w : u*w+w]
+				for l, xv := range x[u*w : u*w+w] {
+					mb[l] = ring.Send(xv, sc)
+				}
+			}
+		})
 		sched.ForStatic(n, p.threads, func(worker, lo, hi int) {
 			var d float64
 			acc := accs[worker]
@@ -78,30 +92,24 @@ func (p *Pull) Run(prog vprog.Program) (*vprog.Result, error) {
 				for l := 0; l < w; l++ {
 					acc[l] = id
 				}
-				if ring == vprog.Sum {
-					if w == 1 {
-						a := 0.0
-						for _, u := range row {
-							a += s.x[u] * s.scale[u]
-						}
-						acc[0] = a
-					} else {
-						for _, u := range row {
-							sc := s.scale[u]
-							ub := int(u) * w
-							for l := 0; l < w; l++ {
-								acc[l] += s.x[ub+l] * sc
-							}
+				switch {
+				case ring == vprog.Sum && w == 1:
+					a := 0.0
+					for _, u := range row {
+						a += msg[u]
+					}
+					acc[0] = a
+				case ring == vprog.Sum:
+					for _, u := range row {
+						for l, m := range msg[int(u)*w : int(u)*w+w] {
+							acc[l] += m
 						}
 					}
-				} else {
+				default:
 					for _, u := range row {
-						sc := s.scale[u]
-						ub := int(u) * w
-						for l := 0; l < w; l++ {
-							val := s.x[ub+l] + sc
-							if val < acc[l] {
-								acc[l] = val
+						for l, m := range msg[int(u)*w : int(u)*w+w] {
+							if m < acc[l] {
+								acc[l] = m
 							}
 						}
 					}

@@ -114,7 +114,7 @@ func (p *Push) Run(prog vprog.Program) (*vprog.Result, error) {
 				sc := s.scale[u]
 				if ring == vprog.Sum {
 					for l := 0; l < w; l++ {
-						val := s.x[u*w+l] * sc
+						val := float64(s.x[u*w+l] * sc)
 						for _, v := range row {
 							atomicAdd(&s.y[int(v)*w+l], val)
 						}

@@ -123,6 +123,11 @@ type Partition struct {
 	Rows   [][]*SubBlock // grouped by block-row, ordered by column
 	Cols   [][]*SubBlock // grouped by block-column, ordered by row
 
+	// Dst is the one destination arena every SubBlock.Dst is a window of,
+	// the windows adjacent in Blocks order (len Nnz). Entry e's run (see
+	// RunOffsets) is a range of it.
+	Dst []uint32
+
 	// CompressedEntries counts bin slots (Σ per-block sources), the
 	// quantity edge compression optimizes. It is also the entry dimension
 	// of a per-run dynamic-bin array (see SubBlock.EntryOff).
@@ -223,6 +228,7 @@ func NewPartition(ptr []int64, idx []graph.Node, r int, cfg Config) (*Partition,
 		lastRow, lastCol = sb.BlockRow, sb.BlockCol
 	}
 	p.CompressedEntries = int64(len(bd.srcs))
+	p.Dst = bd.dst
 	p.buildSourceIndex(cfg.Threads)
 	if col := obs.Default(cfg.Collector); col.Enabled() {
 		col.Histogram("block.count_ns").ObserveDuration(t1.Sub(t0))
@@ -287,6 +293,46 @@ func (p *Partition) buildSourceIndex(threads int) {
 			}
 		}
 	})
+}
+
+// RunOffsets derives, from the RunStart flags, where every bin entry's
+// run starts in the Dst arena: entry e's destinations are
+// Dst[off[e]:off[e+1]], and off[CompressedEntries] == Nnz. It scans the
+// arena once and allocates CompressedEntries+1 offsets; the arena itself is
+// not copied. It returns nil offsets and no error when Nnz does not fit
+// uint32, and an error when a block's flags do not delimit exactly one run
+// per source (a stream that would make a run cross into a neighbour).
+func (p *Partition) RunOffsets() ([]uint32, error) {
+	if p.Nnz > math.MaxUint32 {
+		return nil, nil
+	}
+	off := make([]uint32, p.CompressedEntries+1)
+	var base int64
+	for bi, sb := range p.Blocks {
+		e, end := sb.EntryOff, sb.EntryOff+int64(len(sb.Srcs))
+		for k, d := range sb.Dst {
+			if d&RunStart == 0 {
+				if k == 0 {
+					return nil, fmt.Errorf("block: block %d (%d,%d) does not open with a run start", bi, sb.BlockRow, sb.BlockCol)
+				}
+				continue
+			}
+			if e == end {
+				return nil, fmt.Errorf("block: block %d (%d,%d) holds more runs than its %d sources", bi, sb.BlockRow, sb.BlockCol, len(sb.Srcs))
+			}
+			off[e] = uint32(base + int64(k))
+			e++
+		}
+		if e != end {
+			return nil, fmt.Errorf("block: block %d (%d,%d) holds %d runs for %d sources", bi, sb.BlockRow, sb.BlockCol, e-sb.EntryOff, len(sb.Srcs))
+		}
+		base += int64(len(sb.Dst))
+	}
+	if base != p.Nnz || int64(len(p.Dst)) != p.Nnz {
+		return nil, fmt.Errorf("block: blocks hold %d edges, arena %d, submatrix %d", base, len(p.Dst), p.Nnz)
+	}
+	off[p.CompressedEntries] = uint32(base)
+	return off, nil
 }
 
 // piece is one future sub-block as the count pass sizes it.

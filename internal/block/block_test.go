@@ -514,3 +514,103 @@ func TestSourceEntryIndexEmptyPartition(t *testing.T) {
 		t.Fatalf("empty partition SrcEntryPtr = %v, want [0]", p.SrcEntryPtr)
 	}
 }
+
+// TestRunOffsetsMatchFlagScan: the derived run offsets equal a per-block
+// scan of the RunStart flags, every run is its source's destinations in
+// that block, the blocks are windows of the one Dst arena (built and
+// flat-assembled alike), and a stream whose flags do not delimit one run
+// per source is refused.
+func TestRunOffsetsMatchFlagScan(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := 1 + rng.Intn(120)
+		edges := make([]graph.Edge, rng.Intn(600))
+		for i := range edges {
+			edges[i] = graph.Edge{Src: graph.Node(rng.Intn(r)), Dst: graph.Node(rng.Intn(1 + rng.Intn(r)))}
+		}
+		g, err := graph.FromEdges(r, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Side: 1 + rng.Intn(r), MaxLoadFactor: float64(rng.Intn(3)), DisableCompression: rng.Intn(4) == 0}
+		p, err := NewPartition(g.OutPtr, g.OutIdx, r, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := p.Flatten()
+		fl.Srcs, fl.Dst = slices.Clone(concatSrcs(p)), slices.Clone(p.Dst)
+		q, err := AssembleFlat(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range []*Partition{p, q} {
+			off, err := part.RunOffsets()
+			if err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return false
+			}
+			var want []uint32
+			var base int64
+			for _, sb := range part.Blocks {
+				if len(sb.Dst) > 0 && &part.Dst[base] != &sb.Dst[0] {
+					t.Errorf("seed %d: block (%d,%d) is not a window of the arena", seed, sb.BlockRow, sb.BlockCol)
+					return false
+				}
+				for k, d := range sb.Dst {
+					if d&RunStart != 0 {
+						want = append(want, uint32(base)+uint32(k))
+					}
+				}
+				base += int64(len(sb.Dst))
+			}
+			want = append(want, uint32(part.Nnz))
+			if !slices.Equal(off, want) {
+				t.Errorf("seed %d: offsets %v, flag scan %v", seed, off, want)
+				return false
+			}
+			for _, sb := range part.Blocks {
+				for k, u := range sb.Srcs {
+					e := sb.EntryOff + int64(k)
+					for _, d := range part.Dst[off[e]:off[e+1]] {
+						v := graph.Node(d & DstMask)
+						if int(v)/part.Side != sb.BlockCol || !slices.Contains(g.OutNeighbors(u), v) {
+							t.Errorf("seed %d: entry %d run holds %d, not an edge of %d into column %d", seed, e, v, u, sb.BlockCol)
+							return false
+						}
+					}
+				}
+			}
+		}
+		// Mangle one flag of the flat copy: clearing a run start inside a
+		// block, or setting one on a continuation, breaks the run count.
+		for e, d := range fl.Dst {
+			first := false
+			for _, o := range fl.DstOff {
+				first = first || o == int64(e)
+			}
+			if first {
+				continue
+			}
+			fl.Dst[e] = d ^ RunStart
+			if _, err := q.RunOffsets(); err == nil {
+				t.Errorf("seed %d: flipped flag at %d accepted", seed, e)
+				return false
+			}
+			fl.Dst[e] = d
+			break
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// concatSrcs returns p's Srcs in Blocks order (the flat layout).
+func concatSrcs(p *Partition) []graph.Node {
+	var s []graph.Node
+	for _, sb := range p.Blocks {
+		s = append(s, sb.Srcs...)
+	}
+	return s
+}

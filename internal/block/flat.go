@@ -110,6 +110,7 @@ func AssembleFlat(fl Flat) (*Partition, error) {
 		R:           fl.R,
 		Side:        fl.Side,
 		Nnz:         fl.Nnz,
+		Dst:         fl.Dst,
 		SrcEntryPtr: fl.SrcEntryPtr,
 		SrcEntryIdx: fl.SrcEntryIdx,
 		SrcEntryCol: fl.SrcEntryCol,

@@ -68,13 +68,14 @@ type Config struct {
 	// (unchanged) messages, so Gather stays exact — and Gather itself
 	// skips block-columns none of whose input sources changed. Sparse
 	// iterations such as BFS skip most of the matrix once the frontier has
-	// passed. Disabling this also disables the sparse Scatter.
+	// passed. Disabling this also disables the sparse Scatter and the push
+	// Gather (see vprog.MinApplier).
 	DisableActiveTracking bool
 	// DisableSparse forces every non-quiescent block-row through the dense
 	// row stream, turning off the frontier-driven sparse Scatter (the
-	// always-dense baseline the frontier experiment compares against).
-	// Row-level skipping of fully quiescent rows (see
-	// DisableActiveTracking) is unaffected.
+	// always-dense baseline the frontier experiment compares against), and
+	// with it the push Gather. Row-level skipping of fully quiescent rows
+	// (see DisableActiveTracking) is unaffected.
 	DisableSparse bool
 	// SparseDensity is the frontier-density threshold of the dense/sparse
 	// Scatter decision: a block-row whose changed sources cover less than
@@ -182,6 +183,19 @@ type Engine struct {
 	// wsPools holds one *sync.Pool of Workspaces per property width, so
 	// steady-state serving reuses run state instead of reallocating it.
 	wsPools sync.Map
+
+	// runOff is the partition's per-entry run offsets into its Dst arena
+	// (block.Partition.RunOffsets), derived on the first run that can
+	// gather by push; runOffErr is that derivation's error.
+	runOffOnce sync.Once
+	runOff     []uint32
+	runOffErr  error
+}
+
+// runOffsets returns the partition's run offsets, deriving them once.
+func (e *Engine) runOffsets() ([]uint32, error) {
+	e.runOffOnce.Do(func() { e.runOff, e.runOffErr = e.P.RunOffsets() })
+	return e.runOff, e.runOffErr
 }
 
 type engineState struct {
@@ -350,6 +364,10 @@ type RunStats struct {
 	PostTime time.Duration
 	// MainIterations equals Result.Iterations.
 	MainIterations int
+	// PushIterations counts the iterations whose Gather ran by push: only
+	// the changed entries' runs folded into the previous values, and only
+	// the nodes they lowered applied (see vprog.MinApplier).
+	PushIterations int
 	// SkippedBlocks is the run's total count of sub-blocks whose Scatter
 	// was skipped outright because their block-row had no changed source.
 	// The unit is sub-blocks (block.Partition.Rows entries), never
@@ -361,8 +379,9 @@ type RunStats struct {
 	// always-dense figure is MainIterations × Partition.CompressedEntries.
 	ScatterEntries int64
 	// GatherEdges totals the edges Gather replayed across iterations
-	// (skipped block-columns contribute nothing). The always-dense figure
-	// is MainIterations × Partition.Nnz.
+	// (skipped block-columns contribute nothing; a push iteration counts
+	// the edges it pushed). The always-dense figure is MainIterations ×
+	// Partition.Nnz.
 	GatherEdges int64
 	// DenseRowIterations / SparseRowIterations count per-iteration
 	// block-row mode decisions: one dense-mode row for one iteration adds
@@ -513,7 +532,6 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 		return nil, RunStats{}, fmt.Errorf("core: invalid program: %w", err)
 	}
 	n := e.F.N()
-	r := e.F.NumRegular
 	st := e.state.Load()
 	var stats RunStats
 
@@ -553,6 +571,22 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 		e.cfg.SparseDensity > 0 && e.P.SrcEntryIdx != nil
 	rc.sparseEnter = e.cfg.SparseDensity
 	rc.sparseExit = 2 * e.cfg.SparseDensity
+	// Push Gather: a width-1 program that declares Apply = min(prev, sum),
+	// on an engine whose frontier and sparse Scatter are on. The run
+	// offsets it walks are derived once per engine, here, on the first
+	// such run.
+	rc.canPush = false
+	if rc.canSparse && w == 1 && vprog.PushesMin(prog) {
+		off, err := e.runOffsets()
+		if err != nil {
+			return nil, stats, fmt.Errorf("core: partition: %w", err)
+		}
+		if off != nil {
+			rc.runOff = off
+			rc.canPush = true
+			rc.ensurePushState()
+		}
+	}
 	// Pooled workspaces carry the previous run's frontier state; reset the
 	// hysteresis and worklists (the first iteration forces all-dense
 	// regardless, so this is hygiene plus deterministic mode decisions).
@@ -587,6 +621,7 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 	// request-scoped traces; the timeline slice itself is only kept when
 	// Config.Trace asks for it.
 	traced := e.cfg.Trace || st.col.Enabled() || len(reqTraces) > 0
+	rc.timed = traced
 	for iter < prog.MaxIter() {
 		// Iteration-boundary cancellation check: one predictable branch,
 		// one atomic load and one non-blocking channel poll on cancellable
@@ -602,68 +637,52 @@ func (e *Engine) runInWorkspace(ctx context.Context, prog vprog.Program, ws *Wor
 			// Ablation: redo the seed propagation every iteration.
 			rc.pushSeeds()
 		}
-		var it obs.IterationTrace
-		var d float64
-		if traced {
-			rc.planIteration()
-			it.Iter = iter + 1
-			it.TotalBlockRows = e.P.B
-			it.ActiveBlockRows = e.P.B - rc.emptyRows
-			it.FrontierNodes = rc.frontierNodes
-			it.FrontierEntries = rc.frontierEntries
-			it.DenseRows = rc.denseRows
-			it.SparseRows = rc.sparseRows
-			it.ScatterEntries = rc.scatterEntries
-			mark := time.Now()
-			sched.ForRangeStop(len(e.P.Blocks), rc.threads, 1, rc.stopPtr, rc.scatterBody)
-			if rc.sparseTotal > 0 {
-				sched.ForRangeStop(int(rc.sparseTotal), rc.threads, 0, rc.stopPtr, rc.sparseScatterBody)
-			}
-			now := time.Now()
-			it.ScatterNs = now.Sub(mark).Nanoseconds()
-			st.m.scatterNs.Observe(it.ScatterNs)
-			mark = now
-			sched.ForRangeStop(r*w, rc.threads, 8192, rc.stopPtr, rc.cacheBody)
-			now = time.Now()
-			it.CacheNs = now.Sub(mark).Nanoseconds()
-			st.m.cacheNs.Observe(it.CacheNs)
-			mark = now
-			sched.ForRangeStop(e.P.B, rc.threads, 1, rc.stopPtr, rc.gatherBody)
-			it.GatherNs = time.Since(mark).Nanoseconds()
-			st.m.gatherNs.Observe(it.GatherNs)
-			// One iteration span per request trace, covering
-			// Scatter+Cache+Gather (derived from the phase marks — no
-			// extra clock reads on the traced path).
-			if len(reqTraces) > 0 {
-				iterStart := mark.Add(-time.Duration(it.ScatterNs + it.CacheNs))
-				iterEnd := mark.Add(time.Duration(it.GatherNs))
-				for _, t := range reqTraces {
-					t.AddSpanIter(obs.SpanIteration, iter+1, iterStart, iterEnd)
-				}
-			}
-			for _, cd := range rc.colDelta {
-				d += cd
-			}
-		} else {
-			d = rc.iterateMain()
-		}
+		d := rc.iterateMain()
 		ge := rc.drainedEdges()
 		stats.ScatterEntries += rc.scatterEntries
 		stats.GatherEdges += ge
 		stats.DenseRowIterations += int64(rc.denseRows)
 		stats.SparseRowIterations += int64(rc.sparseRows)
+		if rc.pushing {
+			stats.PushIterations++
+		}
 		// Per-iteration skip accounting: rc.skipped is cumulative over the
 		// run, the engine counter mirrors it for live observation.
 		cur := rc.skipped.Load()
-		it.SkippedBlocks = cur - lastSkipped
-		e.SkippedBlocks.Add(cur - lastSkipped)
+		skipped := cur - lastSkipped
+		e.SkippedBlocks.Add(skipped)
 		lastSkipped = cur
 		rc.x, rc.y = rc.y, rc.x
 		iter++
 		delta = d
 		if traced {
-			it.GatherEdges = ge
-			it.Delta = d
+			m := &rc.marks
+			it := obs.IterationTrace{
+				Iter:            iter,
+				ScatterNs:       m[1].Sub(m[0]).Nanoseconds(),
+				CacheNs:         m[2].Sub(m[1]).Nanoseconds(),
+				GatherNs:        m[3].Sub(m[2]).Nanoseconds(),
+				Delta:           d,
+				ActiveBlockRows: e.P.B - rc.emptyRows,
+				TotalBlockRows:  e.P.B,
+				SkippedBlocks:   skipped,
+				FrontierNodes:   rc.frontierNodes,
+				FrontierEntries: rc.frontierEntries,
+				DenseRows:       rc.denseRows,
+				SparseRows:      rc.sparseRows,
+				Push:            rc.pushing,
+				ScatterEntries:  rc.scatterEntries,
+				GatherEdges:     ge,
+			}
+			st.m.scatterNs.Observe(it.ScatterNs)
+			st.m.cacheNs.Observe(it.CacheNs)
+			st.m.gatherNs.Observe(it.GatherNs)
+			// One iteration span per request trace, covering
+			// Scatter+Cache+Gather (the phase marks — no extra clock
+			// reads on the traced path).
+			for _, t := range reqTraces {
+				t.AddSpanIter(obs.SpanIteration, iter, m[0], m[3])
+			}
 			st.m.iterations.Inc()
 			st.m.activeRows.Set(int64(it.ActiveBlockRows))
 			st.m.denseRows.Add(int64(rc.denseRows))
@@ -860,7 +879,7 @@ func (rc *runCtx) buildEdgePhaseBodies() {
 				ub := int(u) * w
 				if ring == vprog.Sum {
 					for l := 0; l < w; l++ {
-						acc[l] += x[ub+l] * sc
+						acc[l] += float64(x[ub+l] * sc)
 					}
 				} else {
 					for l := 0; l < w; l++ {
@@ -888,7 +907,7 @@ func (e *Engine) pushSeedRangeInto(x, scale, dst []float64, ring vprog.Ring, w, 
 		sc := scale[u]
 		if ring == vprog.Sum {
 			for l := 0; l < w; l++ {
-				v := x[u*w+l] * sc
+				v := float64(x[u*w+l] * sc)
 				for _, d := range row {
 					dst[int(d)*w+l] += v
 				}

@@ -151,7 +151,9 @@ func TestSparseMatchesDenseBatched(t *testing.T) {
 }
 
 // FuzzSparseDense fuzzes the equivalence over graph shape and engine
-// configuration. The corpus pins the regimes that matter (tiny sides,
+// configuration, for PageRank and for BFS and CC, which gather by push on
+// the sparse engine (sides are multiples of 16, so a column's push bitmap
+// can end mid-word). The corpus pins the regimes that matter (tiny sides,
 // forced sparse, single-threaded, high skew); the fuzzer then mutates
 // freely.
 func FuzzSparseDense(f *testing.F) {
@@ -182,6 +184,38 @@ func FuzzSparseDense(f *testing.F) {
 		runBoth(t, g, cfg, "fuzz/bfs", func() vprog.Program {
 			return algo.NewBFS(g, bfsSrc)
 		})
+		runBoth(t, g, cfg, "fuzz/cc", func() vprog.Program {
+			return algo.NewCC(g)
+		})
+		// Traced runs take the same iteration path, push included: the
+		// traced sparse engine must match the untraced one bit for bit.
+		traced := cfg
+		traced.Trace = true
+		runBoth(t, g, traced, "fuzz/bfs-traced", func() vprog.Program {
+			return algo.NewBFS(g, bfsSrc)
+		})
+		eU, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eT, err := New(g, traced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range []func() vprog.Program{
+			func() vprog.Program { return algo.NewBFS(g, bfsSrc) },
+			func() vprog.Program { return algo.NewCC(g) },
+		} {
+			want, err := eU.Run(prog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eT.Run(prog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, "fuzz/traced-vs-untraced", got, want)
+		}
 	})
 }
 

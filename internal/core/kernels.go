@@ -298,3 +298,25 @@ func gatherMinN(y, vals []float64, dst []uint32, w int) {
 		}
 	}
 }
+
+// pushMin1 is the push Gather's leaf: it folds the runs of the given bin
+// entries (entry e's destinations are dst[runOff[e]:runOff[e+1]]) into one
+// block-column's values yc, whose first node is lo, sets the bit of every
+// node it lowers in the column's bitmap bm, and returns the edges it
+// replayed. A destination outside the column fails the bounds check on yc.
+func pushMin1(yc, bins []float64, dst, runOff, ents []uint32, bm []uint64, lo uint32) int64 {
+	var edges int64
+	for _, e := range ents {
+		v := bins[e]
+		run := dst[runOff[e]:runOff[e+1]]
+		edges += int64(len(run))
+		for _, d := range run {
+			k := d&dstMask - lo
+			if v < yc[k] {
+				yc[k] = v
+				bm[k>>6] |= 1 << (k & 63)
+			}
+		}
+	}
+	return edges
+}

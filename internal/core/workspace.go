@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mixen/internal/sched"
 	"mixen/internal/vprog"
@@ -129,6 +131,33 @@ type runCtx struct {
 	emptyRows       int
 	scatterEntries  int64
 
+	// Push Gather state. canPush: this run's program declares
+	// vprog.MinApplier and the frontier is on (set per run); pushing: the
+	// current iteration gathers by push (planIteration: not the first
+	// iteration, and no block-row in dense mode). pushEnt lists the
+	// iteration's frontier entries grouped by block-column — column j's are
+	// pushEnt[pushOff[j]:pushOff[j+1]] — and pushCur is the fill cursor.
+	// pushEdges[j] counts the edges pushed into column j, and touched holds
+	// one bitmap per column, pushWords words each (never sharing a word
+	// across columns), of the nodes the push lowered. runOff is the
+	// engine's per-entry run offsets into the partition's Dst arena. All
+	// but canPush/pushing/runOff are allocated by the first push-capable
+	// run (ensurePushState).
+	canPush, pushing bool
+	runOff           []uint32
+	pushEnt          []uint32
+	pushOff          []int64
+	pushCur          []int64
+	pushEdges        []int64
+	touched          []uint64
+	pushWords        int
+
+	// timed: the run is traced, and iterateMain reads the clock at its
+	// phase boundaries into marks (Scatter start, Cache start, Gather
+	// start, Gather end).
+	timed bool
+	marks [4]time.Time
+
 	// skipped counts sub-blocks skipped outright by the activity mask
 	// (their block-row had no changed source), cumulative over the run.
 	skipped atomic.Int64
@@ -145,6 +174,7 @@ type runCtx struct {
 	sparseScatterBody func(lo, hi int)
 	cacheBody         func(lo, hi int)
 	gatherBody        func(lo, hi int)
+	pushGatherBody    func(lo, hi int)
 	translateBody     func(lo, hi int)
 }
 
@@ -191,6 +221,20 @@ func (e *Engine) newWorkspace(w int) *Workspace {
 	return ws
 }
 
+// ensurePushState allocates the push Gather's per-column state on the
+// workspace's first push-capable run. pushEnt grows on demand in planPush.
+func (rc *runCtx) ensurePushState() {
+	if rc.pushOff != nil {
+		return
+	}
+	b := rc.e.P.B
+	rc.pushOff = make([]int64, b+1)
+	rc.pushCur = make([]int64, b)
+	rc.pushEdges = make([]int64, b)
+	rc.pushWords = (rc.e.P.Side + 63) / 64
+	rc.touched = make([]uint64, b*rc.pushWords)
+}
+
 // workspacePool returns the engine's sync.Pool for width-w workspaces.
 func (e *Engine) workspacePool(w int) *sync.Pool {
 	if p, ok := e.wsPools.Load(w); ok {
@@ -218,6 +262,7 @@ func (rc *runCtx) planIteration() {
 	rc.frontierNodes, rc.frontierEntries = 0, 0
 	rc.denseRows, rc.sparseRows, rc.emptyRows = 0, 0, 0
 	rc.scatterEntries = 0
+	rc.pushing = false
 	rc.markDirty = rc.track && !rc.first
 	if rc.first || !rc.track {
 		// Everything is (potentially) changed: stream every row densely.
@@ -283,16 +328,62 @@ func (rc *runCtx) planIteration() {
 	if skipped != 0 {
 		rc.skipped.Add(skipped)
 	}
+	// Push when no row is dense: every changed entry is then on the
+	// sparse worklist, the only entries whose bins this Scatter rewrites.
+	if rc.canPush && rc.denseRows == 0 {
+		rc.pushing = true
+		rc.planPush()
+	}
+}
+
+// planPush groups the sparse worklist's entries by destination
+// block-column (count, prefix, fill), so that the push Gather of column j
+// walks exactly the entries that feed it. O(B + frontier entries) on the
+// coordinating goroutine; allocates only when the frontier outgrows every
+// earlier one of the workspace.
+func (rc *runCtx) planPush() {
+	p := rc.e.P
+	sep, idx, cols := p.SrcEntryPtr, p.SrcEntryIdx, p.SrcEntryCol
+	off := rc.pushOff
+	clear(off)
+	nodes := rc.sparseNodes[:rc.sparseN]
+	for _, u := range nodes {
+		for _, j := range cols[sep[u]:sep[u+1]] {
+			off[j+1]++
+		}
+	}
+	for j := 0; j < p.B; j++ {
+		rc.pushCur[j] = off[j]
+		off[j+1] += off[j]
+	}
+	if need := off[p.B]; int64(len(rc.pushEnt)) < need {
+		rc.pushEnt = make([]uint32, need+need/4)
+	}
+	ents, cur := rc.pushEnt, rc.pushCur
+	for _, u := range nodes {
+		s, t := sep[u], sep[u+1]
+		for k, j := range cols[s:t] {
+			ents[cur[j]] = idx[s+int64(k)]
+			cur[j]++
+		}
+	}
 }
 
 // drainedEdges returns the edges Gather replayed this iteration: the edge
-// total of every recomputed block-column. O(B), coordinator-only.
+// total of every recomputed block-column, or the edges pushed on a push
+// iteration. O(B), coordinator-only.
 func (rc *runCtx) drainedEdges() int64 {
 	p := rc.e.P
 	if rc.first || !rc.track {
 		return p.Nnz
 	}
 	var ge int64
+	if rc.pushing {
+		for _, pe := range rc.pushEdges {
+			ge += pe
+		}
+		return ge
+	}
 	for j := 0; j < p.B; j++ {
 		if atomic.LoadUint32(&rc.colDirty[j]) != 0 {
 			ge += p.ColEdges[j]
@@ -517,6 +608,61 @@ func (rc *runCtx) buildBodies() {
 		}
 	}
 
+	// Gather+Apply by push (programs declaring vprog.MinApplier, on an
+	// iteration with no dense row): each block-column starts from its
+	// previous values, folds in only the runs of the entries this Scatter
+	// rewrote, and Applies only the nodes that fold lowered, in ascending
+	// order, recording the changed ones as next iteration's worklist. The
+	// Cache step is skipped: the seed contributions were folded in the
+	// first iteration and cannot lower a value again. Every value, delta
+	// and worklist equals the dense Gather's: a value only ever falls, so
+	// an unchanged entry was already folded into it, and Apply of an
+	// unlowered node returns its previous value with a zero delta.
+	rc.pushGatherBody = func(lo, hi int) {
+		p := rc.e.P
+		f := rc.e.F
+		r := f.NumRegular
+		x, y, prog := rc.x, rc.y, rc.prog
+		sep := p.SrcEntryPtr
+		side, words := p.Side, rc.pushWords
+		for j := lo; j < hi; j++ {
+			clo := j * side
+			chi := min(clo+side, r)
+			xc, yc := x[clo:chi], y[clo:chi]
+			copy(yc, xc)
+			rc.colDelta[j], rc.workLen[j], rc.workEnt[j], rc.pushEdges[j] = 0, 0, 0, 0
+			ents := rc.pushEnt[rc.pushOff[j]:rc.pushOff[j+1]]
+			if len(ents) == 0 {
+				continue
+			}
+			bm := rc.touched[j*words : j*words+words]
+			rc.pushEdges[j] = pushMin1(yc, rc.bins, p.Dst, rc.runOff, ents, bm, uint32(clo))
+			wl := rc.work[clo:chi]
+			cnt := 0
+			var fe int64
+			var d float64
+			for wi, word := range bm {
+				if word == 0 {
+					continue
+				}
+				bm[wi] = 0
+				for ; word != 0; word &= word - 1 {
+					k := wi*64 + bits.TrailingZeros64(word)
+					v := clo + k
+					d += prog.Apply(uint32(f.OldID[v]), yc[k:k+1], xc[k:k+1], yc[k:k+1])
+					if math.Float64bits(yc[k]) != math.Float64bits(xc[k]) {
+						wl[cnt] = int32(v)
+						cnt++
+						fe += sep[v+1] - sep[v]
+					}
+				}
+			}
+			rc.colDelta[j] = d
+			rc.workLen[j] = int32(cnt)
+			rc.workEnt[j] = fe
+		}
+	}
+
 	// Translate: final values from NEW id order back to original ids.
 	rc.translateBody = func(lo, hi int) {
 		f := rc.e.F
@@ -530,21 +676,38 @@ func (rc *runCtx) buildBodies() {
 
 // iterateMain executes one full Main-Phase iteration — the coordinator
 // plan step, Scatter (dense rows + sparse worklists), Cache, Gather+Apply
-// — and returns the summed convergence delta. This is the zero-allocation
-// hot path: prebuilt bodies, pooled scheduler jobs, no buffers (asserted
-// by TestMainPhaseIterationAllocatesNothing).
+// (dense, or by push) — and returns the summed convergence delta. It is
+// the one iteration path of traced and untraced runs alike: a traced run
+// (rc.timed) reads the clock at the phase boundaries into rc.marks. This
+// is the zero-allocation hot path: prebuilt bodies, pooled scheduler jobs,
+// no buffers (asserted by TestMainPhaseIterationAllocatesNothing).
 func (rc *runCtx) iterateMain() float64 {
 	e := rc.e
 	rc.planIteration()
+	rc.mark(0)
 	sched.ForRangeStop(len(e.P.Blocks), rc.threads, 1, rc.stopPtr, rc.scatterBody)
 	if rc.sparseTotal > 0 {
 		sched.ForRangeStop(int(rc.sparseTotal), rc.threads, 0, rc.stopPtr, rc.sparseScatterBody)
 	}
-	sched.ForRangeStop(e.F.NumRegular*rc.w, rc.threads, 8192, rc.stopPtr, rc.cacheBody)
-	sched.ForRangeStop(e.P.B, rc.threads, 1, rc.stopPtr, rc.gatherBody)
+	rc.mark(1)
+	gather := rc.pushGatherBody
+	if !rc.pushing {
+		sched.ForRangeStop(e.F.NumRegular*rc.w, rc.threads, 8192, rc.stopPtr, rc.cacheBody)
+		gather = rc.gatherBody
+	}
+	rc.mark(2)
+	sched.ForRangeStop(e.P.B, rc.threads, 1, rc.stopPtr, gather)
+	rc.mark(3)
 	var total float64
 	for _, d := range rc.colDelta {
 		total += d
 	}
 	return total
+}
+
+// mark records phase boundary i of a timed (traced) iteration.
+func (rc *runCtx) mark(i int) {
+	if rc.timed {
+		rc.marks[i] = time.Now()
+	}
 }

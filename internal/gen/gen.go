@@ -13,8 +13,10 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"mixen/internal/graph"
+	"mixen/internal/sched"
 )
 
 // RMATConfig parameterizes the recursive matrix generator of Chakrabarti,
@@ -46,36 +48,70 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	}
 	n := 1 << cfg.Scale
 	m := cfg.EdgeFctr * n
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	count := m
 	if cfg.Symmetric {
 		count = m / 2
 	}
-	edges := make([]graph.Edge, 0, m)
-	for i := 0; i < count; i++ {
-		src, dst := rmatEdge(rng, cfg)
-		edges = append(edges, graph.Edge{Src: src, Dst: dst})
-		if cfg.Symmetric {
-			edges = append(edges, graph.Edge{Src: dst, Dst: src})
+	// Each edge consumes exactly 5·Scale draws of one math/rand Float64
+	// stream, in edge order. The stream is drawn sequentially a chunk at a
+	// time, the next chunk while the cores turn the current one into edges.
+	per := 5 * cfg.Scale
+	emit := 1
+	if cfg.Symmetric {
+		emit = 2
+	}
+	edges := make([]graph.Edge, emit*count)
+	chunk := min(count, rmatChunk)
+	draws := [2][]float64{make([]float64, chunk*per), make([]float64, chunk*per)}
+	st := newFloatStream(cfg.Seed)
+	st.fill(draws[0])
+	for lo := 0; lo < count; lo += chunk {
+		hi := min(lo+chunk, count)
+		buf := draws[(lo/chunk)&1][:(hi-lo)*per]
+		var next sync.WaitGroup
+		if hi < count {
+			nb := draws[(lo/chunk+1)&1][:(min(hi+chunk, count)-hi)*per]
+			next.Add(1)
+			go func() {
+				defer next.Done()
+				st.fill(nb)
+			}()
 		}
+		sched.ForRange(hi-lo, sched.DefaultThreads(), 256, func(a, b int) {
+			for i := a; i < b; i++ {
+				src, dst := rmatEdge(buf[i*per:(i+1)*per], cfg)
+				if cfg.Symmetric {
+					edges[2*(lo+i)] = graph.Edge{Src: src, Dst: dst}
+					edges[2*(lo+i)+1] = graph.Edge{Src: dst, Dst: src}
+				} else {
+					edges[lo+i] = graph.Edge{Src: src, Dst: dst}
+				}
+			}
+		})
+		next.Wait()
 	}
 	return graph.FromEdges(n, edges)
 }
 
-// rmatEdge draws one edge by descending Scale levels of the quadrant tree.
-// Per the original paper, quadrant probabilities are noised a little at each
-// level to avoid exact self-similarity artifacts.
-func rmatEdge(rng *rand.Rand, cfg RMATConfig) (graph.Node, graph.Node) {
+// rmatChunk is the number of edges whose draws RMAT buffers at once.
+const rmatChunk = 1 << 12
+
+// rmatEdge draws one edge by descending Scale levels of the quadrant tree,
+// reading its 5·Scale uniform draws from r: per level, one picks the
+// quadrant and four noise the probabilities. Per the original paper,
+// quadrant probabilities are noised a little at each level to avoid exact
+// self-similarity artifacts.
+func rmatEdge(r []float64, cfg RMATConfig) (graph.Node, graph.Node) {
 	var row, col uint32
 	a, b, c := cfg.A, cfg.B, cfg.C
 	for level := 0; level < cfg.Scale; level++ {
-		r := rng.Float64()
-		switch {
-		case r < a:
+		d := r[5*level : 5*level+5]
+		switch x := d[0]; {
+		case x < a:
 			// top-left: no bits set
-		case r < a+b:
+		case x < a+b:
 			col |= 1 << level
-		case r < a+b+c:
+		case x < a+b+c:
 			row |= 1 << level
 		default:
 			row |= 1 << level
@@ -83,13 +119,81 @@ func rmatEdge(rng *rand.Rand, cfg RMATConfig) (graph.Node, graph.Node) {
 		}
 		// multiplicative noise in [0.95, 1.05], renormalized implicitly by
 		// comparing against the running prefix sums next level
-		noise := func(p float64) float64 { return p * (0.95 + 0.1*rng.Float64()) }
-		a2, b2, c2, d2 := noise(cfg.A), noise(cfg.B), noise(cfg.C), noise(cfg.D)
+		a2, b2, c2, d2 := rmatNoise(cfg.A, d[1]), rmatNoise(cfg.B, d[2]), rmatNoise(cfg.C, d[3]), rmatNoise(cfg.D, d[4])
 		total := a2 + b2 + c2 + d2
 		a, b, c = a2/total, b2/total, c2/total
 	}
 	return row, col
 }
+
+// rmatNoise scales p by 0.95 + 0.1·f; the product rounds on its own, so no
+// architecture fuses it into the sum.
+func rmatNoise(p, f float64) float64 { return p * (0.95 + float64(0.1*f)) }
+
+// floatStream yields exactly the values math/rand's Rand.Float64 yields for
+// rand.New(rand.NewSource(seed)), without an interface call per draw. The
+// source is an additive lagged Fibonacci generator, x_n = x_{n-607} +
+// x_{n-273} (mod 2^64), whose whole state is its last 607 outputs: the
+// stream primes a ring with the source's first 607 Uint64 draws, emits
+// them, then continues the recurrence inline. Float64 is Int63 (the low 63
+// bits) over 2^63, redrawn when that rounds to 1.
+type floatStream struct {
+	ring  [lfgLen]uint64
+	i, j  int // slots of x_{n-607} and x_{n-273} for the next output
+	fresh int // primed outputs not yet emitted
+}
+
+const (
+	lfgLen = 607
+	lfgTap = 273
+)
+
+func newFloatStream(seed int64) *floatStream {
+	src := rand.NewSource(seed).(rand.Source64)
+	s := &floatStream{j: lfgLen - lfgTap, fresh: lfgLen}
+	for k := range s.ring {
+		s.ring[k] = src.Uint64()
+	}
+	return s
+}
+
+// fill writes the next len(buf) values of the stream into buf.
+func (s *floatStream) fill(buf []float64) {
+	k := 0
+	for ; s.fresh > 0 && k < len(buf); s.fresh-- {
+		if f := lfgFloat(s.ring[lfgLen-s.fresh]); f != 1 {
+			buf[k] = f
+			k++
+		}
+	}
+	ring := &s.ring
+	i, j := s.i, s.j
+	for k < len(buf) {
+		// A stretch in which neither slot wraps: each draw yields at most
+		// one value, so it cannot overrun buf.
+		run := min(lfgLen-i, lfgLen-j, len(buf)-k)
+		ri, rj := ring[i:i+run], ring[j:j+run]
+		rj = rj[:len(ri)]
+		for t := range ri {
+			x := ri[t] + rj[t]
+			ri[t] = x
+			if f := lfgFloat(x); f != 1 {
+				buf[k] = f
+				k++
+			}
+		}
+		if i += run; i == lfgLen {
+			i = 0
+		}
+		if j += run; j == lfgLen {
+			j = 0
+		}
+	}
+	s.i, s.j = i, j
+}
+
+// lfgFloat is Rand.Float64 of one source output: Int63 over 2^63.
+func lfgFloat(x uint64) float64 { return float64(int64(x&(1<<63-1))) / (1 << 63) }
 
 // Kronecker generates an undirected (symmetrized) power-law graph following
 // the Graph500 / GAP "kron" recipe, which is an R-MAT with symmetric output.

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"mixen/internal/analyze"
@@ -355,4 +358,67 @@ func within(got, want, tol float64) bool {
 		d = -d
 	}
 	return d <= tol
+}
+
+// TestFloatStreamMatchesMathRand: the inline stream is math/rand's Float64
+// stream, draw for draw, well past the 607 primed outputs.
+func TestFloatStreamMatchesMathRand(t *testing.T) {
+	draws := 2_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	for _, seed := range []int64{1, 3, 42, -7} {
+		rng := rand.New(rand.NewSource(seed))
+		st := newFloatStream(seed)
+		// Uneven buffer sizes, so that fills start and end at every
+		// offset of the ring and of the primed outputs.
+		buf := make([]float64, 1024)
+		for i, size := 0, 1; i < draws; i, size = i+size, size%997+13 {
+			st.fill(buf[:size])
+			for k, got := range buf[:size] {
+				if want := rng.Float64(); want != got {
+					t.Fatalf("seed %d draw %d: %v, math/rand %v", seed, i+k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRMATGoldenGraph pins R-MAT output to the graphs the per-edge
+// math/rand generator produced: an FNV-1a hash over OutPtr and OutIdx at
+// scale 14, edge factor 16, for three seeds, directed and symmetric.
+func TestRMATGoldenGraph(t *testing.T) {
+	golden := []struct {
+		seed int64
+		sym  bool
+		hash uint64
+	}{
+		{1, false, 0x3fee38beee5de394},
+		{3, false, 0x287945eb8dddcef8},
+		{42, false, 0x7b26c9081e4c3e74},
+		{1, true, 0xcc5eb299d4a16d4a},
+		{3, true, 0x54b2fa666737bbcf},
+		{42, true, 0x32ffa160be754d35},
+	}
+	for _, gc := range golden {
+		cfg := GAPRMATConfig(14, 16, gc.seed)
+		cfg.Symmetric = gc.sym
+		g, err := RMAT(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, p := range g.OutPtr {
+			binary.LittleEndian.PutUint64(b[:], uint64(p))
+			h.Write(b[:])
+		}
+		for _, v := range g.OutIdx {
+			binary.LittleEndian.PutUint32(b[:4], uint32(v))
+			h.Write(b[:4])
+		}
+		if got := h.Sum64(); got != gc.hash {
+			t.Errorf("seed %d symmetric %v: graph hash %#x, want %#x", gc.seed, gc.sym, got, gc.hash)
+		}
+	}
 }

@@ -55,6 +55,10 @@ type IterationTrace struct {
 	// decisions (skipped rows are ActiveBlockRows' complement).
 	DenseRows  int `json:"dense_rows,omitempty"`
 	SparseRows int `json:"sparse_rows,omitempty"`
+	// Push marks an iteration whose Gather ran by push: only the changed
+	// entries were folded, into the previous values, and the Cache step
+	// was skipped.
+	Push bool `json:"push,omitempty"`
 	// ScatterEntries / GatherEdges measure the work actually done: bin
 	// entries (re)written by Scatter and edges replayed by Gather.
 	ScatterEntries int64 `json:"scatter_entries,omitempty"`
@@ -177,14 +181,18 @@ func FormatTimeline(trace []IterationTrace) string {
 		"iter", "scatter", "cache", "gather", "delta", "active", "dn/sp", "front", "entries", "edges", "skipped")
 	var scatter, cache, gather, skipped, entries, edges int64
 	for _, it := range trace {
-		fmt.Fprintf(&b, "%5d %11s %11s %11s %12.4g %5d/%-5d %4d/%-4d %9d %12d %12d %9d\n",
+		mode := ""
+		if it.Push {
+			mode = " push"
+		}
+		fmt.Fprintf(&b, "%5d %11s %11s %11s %12.4g %5d/%-5d %4d/%-4d %9d %12d %12d %9d%s\n",
 			it.Iter,
 			time.Duration(it.ScatterNs).Round(time.Microsecond),
 			time.Duration(it.CacheNs).Round(time.Microsecond),
 			time.Duration(it.GatherNs).Round(time.Microsecond),
 			it.Delta, it.ActiveBlockRows, it.TotalBlockRows,
 			it.DenseRows, it.SparseRows, it.FrontierNodes,
-			it.ScatterEntries, it.GatherEdges, it.SkippedBlocks)
+			it.ScatterEntries, it.GatherEdges, it.SkippedBlocks, mode)
 		scatter += it.ScatterNs
 		cache += it.CacheNs
 		gather += it.GatherNs

@@ -492,3 +492,59 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		compareFiltered(t, fd, pf.F)
 	})
 }
+
+// TestMangledRunFlagRefused: a .mixp whose destination stream has one
+// run-start flag too few or too many inside a block still opens when the
+// checksum is skipped (assembly checks only each block's first flag), but
+// the first push-capable run refuses the partition with an error instead
+// of pushing along runs that cross into a neighbour, and a checksummed
+// open refuses the file outright.
+func TestMangledRunFlagRefused(t *testing.T) {
+	f, p, deg := buildCase(t, 400, 4000, 5, 32)
+	path := writeTemp(t, f, p, deg, Layout{Epoch: 1})
+	orig := readFile(t, path)
+	// Find a run start that is not its block's first edge, and a
+	// continuation edge.
+	start, cont := -1, -1
+	var base int
+	for _, sb := range p.Blocks {
+		for k, d := range sb.Dst {
+			switch {
+			case k > 0 && d&block.RunStart != 0 && start < 0:
+				start = base + k
+			case d&block.RunStart == 0 && cont < 0:
+				cont = base + k
+			}
+		}
+		base += len(sb.Dst)
+	}
+	if start < 0 || cont < 0 {
+		t.Fatal("fixture has no inner run start or no continuation edge")
+	}
+	for name, at := range map[string]int{"cleared": start, "added": cont} {
+		t.Run(name, func(t *testing.T) {
+			b := append([]byte{}, orig...)
+			b[sectionOffset(t, b, secDst)+uint64(4*at)+3] ^= 0x80
+			mp := filepath.Join(t.TempDir(), "mangled.mixp")
+			if err := os.WriteFile(mp, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(mp); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("checksummed open: %v, want a checksum mismatch", err)
+			}
+			mf, err := Open(mp, Options{SkipChecksum: true})
+			if err != nil {
+				t.Fatalf("open without checksum: %v", err)
+			}
+			defer mf.Close()
+			e, err := core.NewFromPrebuilt(mf.F, mf.P, core.Config{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Run(algo.NewBFSN(mf.F.N(), 0))
+			if err == nil || !strings.Contains(err.Error(), "runs") {
+				t.Fatalf("BFS on a mangled stream: %v, want a run-count error", err)
+			}
+		})
+	}
+}

@@ -119,6 +119,26 @@ func Check(p Program) error {
 	return nil
 }
 
+// MinApplier is an optional Program extension, a declaration with no
+// behaviour: a Min-ring program implements it to promise that its Apply
+// writes out = min(prev, sum) lane by lane and returns a nonzero delta iff
+// that changed the value. Under that promise a value only ever falls, and
+// an input that did not change cannot lower it again, so an engine may
+// gather by push: start each node from its previous value, fold in only
+// the contributions that changed, and Apply only the nodes they lowered.
+// BFS and connected components declare it; a Sum-ring program that
+// implements it is ignored (see PushesMin).
+type MinApplier interface {
+	MinApply()
+}
+
+// PushesMin reports whether p is a Min-ring program that declares
+// MinApplier.
+func PushesMin(p Program) bool {
+	_, ok := p.(MinApplier)
+	return ok && p.Ring() == Min
+}
+
 // Result is the outcome of an engine run.
 type Result struct {
 	// Values holds the final properties in ORIGINAL id order, Width lanes
