@@ -31,6 +31,79 @@ func outDegrees(g *graph.Graph) []float64 {
 // degree pass per request.
 func OutDegrees(g *graph.Graph) []float64 { return outDegrees(g) }
 
+// Every width-1 program below implements vprog.Ranger. Its per-node and
+// range forms compute each node through one shared helper (invDeg,
+// indegreeStep, rankStep, minStep), so the two cannot drift apart: a ranged
+// run is bit-identical to a per-node one.
+
+// invDeg is the degree-normalising Scale of node u: 1/deg(u), or 0 for a
+// node without out-edges.
+func invDeg(deg []float64, u uint32) float64 {
+	if deg[u] == 0 {
+		return 0
+	}
+	return 1 / deg[u]
+}
+
+// invDegRange writes invDeg of every node of old into out.
+func invDegRange(deg []float64, old []uint32, out []float64) {
+	out = out[:len(old)]
+	for k, u := range old {
+		out[k] = invDeg(deg, u)
+	}
+}
+
+// fill sets every element of out to v.
+func fill(out []float64, v float64) {
+	for k := range out {
+		out[k] = v
+	}
+}
+
+// indegreeStep is InDegree's Apply on one node: the new value and its
+// delta.
+func indegreeStep(sum, prev float64) (next, d float64) {
+	return sum, math.Abs(sum - prev)
+}
+
+// rankStep is the damped update of PageRank and PPR on one node: next =
+// base + damping·sum, or prev with a zero delta when that moves the node by
+// less than nodeTol.
+func rankStep(base, damping, nodeTol, sum, prev float64) (next, d float64) {
+	next = base + float64(damping*sum)
+	d = math.Abs(next - prev)
+	if d < nodeTol {
+		return prev, 0
+	}
+	return next, d
+}
+
+// minStep is the Apply of the min-label programs (BFS, CC) on one node:
+// min(prev, sum), with delta 1 when that changed the value and 0 otherwise.
+// The builtin min compiles inline, where math.Min is a call. The two agree
+// bit for bit on every value BFS and CC can hold — finite levels and
+// labels, +Inf, never −0 — and differ only with a NaN operand (its
+// payload, and min(−Inf, NaN), which math.Min makes −Inf).
+func minStep(sum, prev float64) (next, d float64) {
+	next = min(prev, sum)
+	if next != prev {
+		return next, 1
+	}
+	return next, 0
+}
+
+// minRange is minStep over a run of nodes, its deltas folded in node order.
+func minRange(sum, prev, out []float64) float64 {
+	sum, prev = sum[:len(out)], prev[:len(out)]
+	var d float64
+	for k := range out {
+		var dk float64
+		out[k], dk = minStep(sum[k], prev[k])
+		d += dk
+	}
+	return d
+}
+
 // NewPageRankShared is NewPageRank with a caller-provided out-degree
 // snapshot (from OutDegrees) over a graph of n nodes. The snapshot is
 // shared, not copied: callers must treat it as immutable for the
@@ -74,8 +147,27 @@ func (p *InDegree) Scale(u uint32) float64 { return 1 }
 
 // Apply implements vprog.Program.
 func (p *InDegree) Apply(v uint32, sum, prev, out []float64) float64 {
-	d := math.Abs(sum[0] - prev[0])
-	out[0] = sum[0]
+	var d float64
+	out[0], d = indegreeStep(sum[0], prev[0])
+	return d
+}
+
+// InitRange implements vprog.Ranger.
+func (p *InDegree) InitRange(old []uint32, out []float64) { fill(out[:len(old)], 1) }
+
+// ScaleRange implements vprog.Ranger.
+func (p *InDegree) ScaleRange(old []uint32, out []float64) { fill(out[:len(old)], 1) }
+
+// ApplyRange implements vprog.Ranger.
+func (p *InDegree) ApplyRange(old []uint32, sum, prev, out []float64) float64 {
+	out = out[:len(old)]
+	sum, prev = sum[:len(out)], prev[:len(out)]
+	var d float64
+	for k := range out {
+		var dk float64
+		out[k], dk = indegreeStep(sum[k], prev[k])
+		d += dk
+	}
 	return d
 }
 
@@ -142,24 +234,36 @@ func (p *PageRank) Init(v uint32, out []float64) {
 }
 
 // Scale implements vprog.Program: contributions are x_u/deg(u).
-func (p *PageRank) Scale(u uint32) float64 {
-	if p.deg[u] == 0 {
-		return 0
-	}
-	return 1 / p.deg[u]
-}
+func (p *PageRank) Scale(u uint32) float64 { return invDeg(p.deg, u) }
 
 // Apply implements vprog.Program. Sub-NodeTol movements keep the previous
 // value bit-for-bit and return 0, satisfying the quiescence contract while
 // giving frontier-tracking engines real per-node convergence to exploit.
 func (p *PageRank) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := (1-p.Damping)/float64(p.N) + float64(p.Damping*sum[0])
-	d := math.Abs(next - prev[0])
-	if d < p.NodeTol {
-		out[0] = prev[0]
-		return 0
+	var d float64
+	out[0], d = rankStep((1-p.Damping)/float64(p.N), p.Damping, p.NodeTol, sum[0], prev[0])
+	return d
+}
+
+// InitRange implements vprog.Ranger.
+func (p *PageRank) InitRange(old []uint32, out []float64) {
+	fill(out[:len(old)], 1/float64(p.N))
+}
+
+// ScaleRange implements vprog.Ranger.
+func (p *PageRank) ScaleRange(old []uint32, out []float64) { invDegRange(p.deg, old, out) }
+
+// ApplyRange implements vprog.Ranger.
+func (p *PageRank) ApplyRange(old []uint32, sum, prev, out []float64) float64 {
+	out = out[:len(old)]
+	sum, prev = sum[:len(out)], prev[:len(out)]
+	base, damping, nodeTol := (1-p.Damping)/float64(p.N), p.Damping, p.NodeTol
+	var d float64
+	for k := range out {
+		var dk float64
+		out[k], dk = rankStep(base, damping, nodeTol, sum[k], prev[k])
+		d += dk
 	}
-	out[0] = next
 	return d
 }
 
@@ -207,12 +311,7 @@ func (p *CF) Init(v uint32, out []float64) {
 }
 
 // Scale implements vprog.Program: degree-normalised contributions.
-func (p *CF) Scale(u uint32) float64 {
-	if p.deg[u] == 0 {
-		return 0
-	}
-	return 1 / p.deg[u]
-}
+func (p *CF) Scale(u uint32) float64 { return invDeg(p.deg, u) }
 
 // Apply implements vprog.Program.
 func (p *CF) Apply(v uint32, sum, prev, out []float64) float64 {
@@ -268,27 +367,41 @@ func (p *BFS) Width() int { return 1 }
 // Ring implements vprog.Program.
 func (p *BFS) Ring() vprog.Ring { return vprog.Min }
 
-// Init implements vprog.Program.
-func (p *BFS) Init(v uint32, out []float64) {
+// level is node v's initial level: 0 at the source, +Inf elsewhere.
+func (p *BFS) level(v uint32) float64 {
 	if v == p.Source {
-		out[0] = 0
-	} else {
-		out[0] = math.Inf(1)
+		return 0
 	}
+	return math.Inf(1)
 }
+
+// Init implements vprog.Program.
+func (p *BFS) Init(v uint32, out []float64) { out[0] = p.level(v) }
 
 // Scale implements vprog.Program: the tropical offset (+1 hop).
 func (p *BFS) Scale(u uint32) float64 { return 1 }
 
 // Apply implements vprog.Program.
 func (p *BFS) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := math.Min(prev[0], sum[0])
-	changed := 0.0
-	if next != prev[0] {
-		changed = 1
+	var d float64
+	out[0], d = minStep(sum[0], prev[0])
+	return d
+}
+
+// InitRange implements vprog.Ranger.
+func (p *BFS) InitRange(old []uint32, out []float64) {
+	out = out[:len(old)]
+	for k, v := range old {
+		out[k] = p.level(v)
 	}
-	out[0] = next
-	return changed
+}
+
+// ScaleRange implements vprog.Ranger.
+func (p *BFS) ScaleRange(old []uint32, out []float64) { fill(out[:len(old)], 1) }
+
+// ApplyRange implements vprog.Ranger.
+func (p *BFS) ApplyRange(old []uint32, sum, prev, out []float64) float64 {
+	return minRange(sum, prev, out[:len(old)])
 }
 
 // MinApply implements vprog.MinApplier: Apply is min(prev, sum).
@@ -327,13 +440,25 @@ func (p *CC) Scale(u uint32) float64 { return 0 }
 
 // Apply implements vprog.Program.
 func (p *CC) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := math.Min(prev[0], sum[0])
-	changed := 0.0
-	if next != prev[0] {
-		changed = 1
+	var d float64
+	out[0], d = minStep(sum[0], prev[0])
+	return d
+}
+
+// InitRange implements vprog.Ranger.
+func (p *CC) InitRange(old []uint32, out []float64) {
+	out = out[:len(old)]
+	for k, v := range old {
+		out[k] = float64(v)
 	}
-	out[0] = next
-	return changed
+}
+
+// ScaleRange implements vprog.Ranger.
+func (p *CC) ScaleRange(old []uint32, out []float64) { fill(out[:len(old)], 0) }
+
+// ApplyRange implements vprog.Ranger.
+func (p *CC) ApplyRange(old []uint32, sum, prev, out []float64) float64 {
+	return minRange(sum, prev, out[:len(old)])
 }
 
 // MinApply implements vprog.MinApplier: Apply is min(prev, sum).

@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"math"
 
 	"mixen/internal/graph"
 	"mixen/internal/vprog"
@@ -120,23 +119,45 @@ func (p *PersonalizedPageRank) Init(v uint32, out []float64) {
 
 // Scale implements vprog.Program: contributions are x_u/deg(u), identical
 // for every personalization — the property that makes PPR batchable.
-func (p *PersonalizedPageRank) Scale(u uint32) float64 {
-	if p.deg[u] == 0 {
-		return 0
-	}
-	return 1 / p.deg[u]
+func (p *PersonalizedPageRank) Scale(u uint32) float64 { return invDeg(p.deg, u) }
+
+// base is node v's teleport term (1-damping)·t_v.
+func (p *PersonalizedPageRank) base(v uint32) float64 {
+	return float64((1 - p.Damping) * p.teleport(v))
 }
 
 // Apply implements vprog.Program. Sub-NodeTol movements keep the previous
 // value bit-for-bit and return 0 (per-node quiescence, see algo.PageRank).
 func (p *PersonalizedPageRank) Apply(v uint32, sum, prev, out []float64) float64 {
-	next := float64((1-p.Damping)*p.teleport(v)) + float64(p.Damping*sum[0])
-	d := math.Abs(next - prev[0])
-	if d < p.NodeTol {
-		out[0] = prev[0]
-		return 0
+	var d float64
+	out[0], d = rankStep(p.base(v), p.Damping, p.NodeTol, sum[0], prev[0])
+	return d
+}
+
+// InitRange implements vprog.Ranger.
+func (p *PersonalizedPageRank) InitRange(old []uint32, out []float64) {
+	out = out[:len(old)]
+	for k, v := range old {
+		out[k] = p.teleport(v)
 	}
-	out[0] = next
+}
+
+// ScaleRange implements vprog.Ranger.
+func (p *PersonalizedPageRank) ScaleRange(old []uint32, out []float64) {
+	invDegRange(p.deg, old, out)
+}
+
+// ApplyRange implements vprog.Ranger.
+func (p *PersonalizedPageRank) ApplyRange(old []uint32, sum, prev, out []float64) float64 {
+	out = out[:len(old)]
+	sum, prev = sum[:len(out)], prev[:len(out)]
+	damping, nodeTol := p.Damping, p.NodeTol
+	var d float64
+	for k, v := range old {
+		var dk float64
+		out[k], dk = rankStep(p.base(v), damping, nodeTol, sum[k], prev[k])
+		d += dk
+	}
 	return d
 }
 

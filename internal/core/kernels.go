@@ -1,17 +1,20 @@
 package core
 
 import (
+	"math"
+
 	"mixen/internal/block"
 	"mixen/internal/graph"
 	"mixen/internal/vprog"
 )
 
 // Leaf kernels of the Main-Phase: every per-entry / per-edge loop of the
-// dense Scatter and of Gather, as small top-level functions over plain
-// slices. They are kept out of the scatterBody/gatherBody closures on
-// purpose — inside those the register allocator spills loop state to the
-// stack — and each is small enough that its loop state stays in registers
-// (see EXPERIMENTS.md, "Branch-free Gather").
+// dense Scatter, of Gather and of the width-1 sink pull, as small
+// top-level functions over plain slices. They are kept out of the phase
+// bodies (scatterRows, gatherCols, pullSinks) on purpose — inside those the
+// register allocator spills loop state to the stack — and each is small
+// enough that its loop state stays in registers (see EXPERIMENTS.md,
+// "Branch-free Gather").
 //
 // Gather walks a sub-block's flagged destination stream (block.SubBlock.Dst)
 // with ONE flat loop: bit 31 of an element says "next bin value", the low
@@ -319,4 +322,33 @@ func pushMin1(yc, bins []float64, dst, runOff, ents []uint32, bm []uint64, lo ui
 		}
 	}
 	return edges
+}
+
+// pullSum1 is the width-1 sink pull's fold under Sum: acc[i] is the sum,
+// in CSC order, of x[u]·scale[u] over the in-neighbours u of sink i, whose
+// column is idx[ptr[i]:ptr[i+1]].
+func pullSum1(acc, x, scale []float64, ptr []int64, idx []uint32) {
+	ptr = ptr[:len(acc)+1]
+	for i := range acc {
+		var s float64
+		for _, u := range idx[ptr[i]:ptr[i+1]] {
+			s += float64(x[u] * scale[u])
+		}
+		acc[i] = s
+	}
+}
+
+// pullMin1 is pullSum1 under Min: acc[i] is the least x[u]+scale[u], or
+// +Inf for a sink without in-neighbours.
+func pullMin1(acc, x, scale []float64, ptr []int64, idx []uint32) {
+	ptr = ptr[:len(acc)+1]
+	for i := range acc {
+		s := math.Inf(1)
+		for _, u := range idx[ptr[i]:ptr[i+1]] {
+			if v := x[u] + scale[u]; v < s {
+				s = v
+			}
+		}
+		acc[i] = s
+	}
 }

@@ -12,11 +12,11 @@ import (
 	"mixen/internal/vprog"
 )
 
-// pushEngines returns a built engine and a .mixp-mapped engine over g, both
-// with the given side and thread count: the two ways an engine serves.
-func pushEngines(t *testing.T, g *graph.Graph, side, threads int) map[string]*Engine {
+// servingEngines returns a built engine and a .mixp-mapped engine over g,
+// both with configuration cfg: the two ways an engine serves.
+func servingEngines(t *testing.T, g *graph.Graph, cfg Config) map[string]*Engine {
 	t.Helper()
-	built, err := New(g, Config{Side: side, Threads: threads})
+	built, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func pushEngines(t *testing.T, g *graph.Graph, side, threads int) map[string]*En
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	mapped, err := NewFromPrebuilt(f.F, f.P, Config{Threads: threads})
+	mapped, err := NewFromPrebuilt(f.F, f.P, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPushMatchesTrackingOff(t *testing.T) {
 			t.Fatal(err)
 		}
 		var pushed int
-		for kind, e := range pushEngines(t, g, 64, threads) {
+		for kind, e := range servingEngines(t, g, Config{Side: 64, Threads: threads}) {
 			progs := map[string]func() vprog.Program{
 				"cc": func() vprog.Program { return algo.NewCC(g) },
 			}

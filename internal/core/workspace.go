@@ -57,14 +57,18 @@ const (
 )
 
 // runCtx is the per-run execution context embedded in a Workspace. Its
-// loop bodies are built ONCE at workspace construction and capture only the
-// runCtx pointer, so the Main-Phase hot loop — the sched.ForRange calls
+// loop bodies are method values bound ONCE at workspace construction
+// (bindBodies), so the Main-Phase hot loop — the sched.ForRange calls
 // per iteration — performs zero heap allocations when the workspace is
 // reused: no closures, no goroutines, no buffers.
 type runCtx struct {
-	e       *Engine
-	prog    vprog.Program
-	ring    vprog.Ring
+	e    *Engine
+	prog vprog.Program
+	ring vprog.Ring
+	// ranger is prog as a vprog.Ranger when it is a width-1 program that
+	// implements one (resolved once per run), nil otherwise: the Init,
+	// Gather-Apply and sink bodies then make one call per node range.
+	ranger  vprog.Ranger
 	w       int
 	threads int
 	first   bool // current iteration is the first (Apply everywhere)
@@ -216,8 +220,7 @@ func (e *Engine) newWorkspace(w int) *Workspace {
 	rc.rowSticky = make([]uint8, e.P.B)
 	rc.sparseNodes = make([]int32, r)
 	rc.sparseOff = make([]int64, r+1)
-	rc.buildBodies()
-	rc.buildEdgePhaseBodies()
+	rc.bindBodies()
 	return ws
 }
 
@@ -392,285 +395,345 @@ func (rc *runCtx) drainedEdges() int64 {
 	return ge
 }
 
-// buildBodies constructs the prebuilt loop bodies. Each closure captures
-// only rc; everything else — the program, the swapped x/y, the masks — is
-// read through rc fields at call time, so the same closures serve every
-// run and every iteration without reallocation.
-func (rc *runCtx) buildBodies() {
-	// Init: per-node program initialisation + scale factors, in NEW order.
-	rc.initBody = func(lo, hi int) {
-		f := rc.e.F
-		w := rc.w
-		for v := lo; v < hi; v++ {
-			old := uint32(f.OldID[v])
-			rc.prog.Init(old, rc.x[v*w:v*w+w])
-			rc.scale[v] = rc.prog.Scale(old)
-		}
-	}
+// bindBodies binds the phase loop bodies, once per workspace: each is a
+// method value of rc, so the same funcs serve every run and every
+// iteration without reallocation, and a profile names the phase. Everything
+// else — the program, the swapped x/y, the masks — is read through rc
+// fields at call time.
+func (rc *runCtx) bindBodies() {
+	rc.initBody = rc.initNodes
+	rc.seedPushBody = rc.pushSeedParts
+	rc.seedReduceBody = rc.reduceSeedParts
+	rc.scatterBody = rc.scatterRows
+	rc.sparseScatterBody = rc.scatterFrontier
+	rc.cacheBody = rc.cacheSeeds
+	rc.gatherBody = rc.gatherCols
+	rc.pushGatherBody = rc.pushCols
+	rc.sinkBody = rc.pullSinks
+	rc.translateBody = rc.translate
+}
 
-	// Scatter, dense body (SCGA): stream each dense-mode sub-block,
-	// rewriting its full dynamic bin with the compressed source values.
-	// Bins are disjoint per sub-block, so no synchronisation is needed;
-	// empty rows keep their previous (still valid) bin contents and
-	// sparse rows are handled by sparseScatterBody.
-	rc.scatterBody = func(lo, hi int) {
-		blocks := rc.e.P.Blocks
-		x, scale, w, ring := rc.x, rc.scale, rc.w, rc.ring
-		mark := rc.markDirty
-		for bi := lo; bi < hi; bi++ {
-			sb := blocks[bi]
-			if rc.rowMode[sb.BlockRow] != modeDense {
-				continue
-			}
-			if mark {
-				atomic.StoreUint32(&rc.colDirty[sb.BlockCol], 1)
-			}
-			off := int(sb.EntryOff) * w
-			scatterBlock(ring, w, rc.bins[off:off+len(sb.Srcs)*w], x, scale, sb.Srcs)
-		}
+// initNodes is the Init body: program initialisation and scale factors of
+// nodes [lo, hi), in NEW order — one InitRange and one ScaleRange call for
+// a ranged program, two calls per node otherwise.
+func (rc *runCtx) initNodes(lo, hi int) {
+	f := rc.e.F
+	if r := rc.ranger; r != nil {
+		old := f.OldID[lo:hi]
+		r.InitRange(old, rc.x[lo:hi])
+		r.ScaleRange(old, rc.scale[lo:hi])
+		return
 	}
+	w := rc.w
+	for v := lo; v < hi; v++ {
+		old := uint32(f.OldID[v])
+		rc.prog.Init(old, rc.x[v*w:v*w+w])
+		rc.scale[v] = rc.prog.Scale(old)
+	}
+}
 
-	// Scatter, sparse body: walk the compacted frontier through the
-	// partition's per-source entry index, rewriting only the changed
-	// sources' bin entries and marking their destination columns dirty.
-	// The iteration domain is [0, sparseTotal) in ENTRY units; a chunk
-	// [lo, hi) maps back to worklist items via the cumulative sparseOff,
-	// so a hub source's entries split cleanly across workers (bin slots
-	// are per-source disjoint, and two workers never share a slot).
-	rc.sparseScatterBody = func(lo, hi int) {
-		p := rc.e.P
-		x, scale, w, ring, bins := rc.x, rc.scale, rc.w, rc.ring, rc.bins
-		nodes := rc.sparseNodes[:rc.sparseN]
-		off := rc.sparseOff[: rc.sparseN+1 : rc.sparseN+1]
-		sep := p.SrcEntryPtr
-		lo64, hi64 := int64(lo), int64(hi)
-		it := sort.Search(len(nodes), func(i int) bool { return off[i+1] > lo64 })
-		for ; it < len(nodes) && off[it] < hi64; it++ {
-			u := int(nodes[it])
-			s, t := sep[u], sep[u+1]
-			if d := lo64 - off[it]; d > 0 {
-				s += d
-			}
-			if over := off[it] + (sep[u+1] - sep[u]) - hi64; over > 0 {
-				t -= over
-			}
-			ents := p.SrcEntryIdx[s:t]
-			cols := p.SrcEntryCol[s:t]
-			cols = cols[:len(ents)]
-			if w == 1 {
-				var v float64
-				if ring == vprog.Sum {
-					v = x[u] * scale[u]
-				} else {
-					v = x[u] + scale[u]
-				}
-				for k, ei := range ents {
-					bins[ei] = v
-					atomic.StoreUint32(&rc.colDirty[cols[k]], 1)
-				}
-				continue
-			}
-			sc := scale[u]
-			base := u * w
-			xb := x[base : base+w]
+// scatterRows is the dense Scatter body (SCGA): stream each dense-mode
+// sub-block, rewriting its full dynamic bin with the compressed source
+// values. Bins are disjoint per sub-block, so no synchronisation is needed;
+// empty rows keep their previous (still valid) bin contents and sparse rows
+// are handled by scatterFrontier.
+func (rc *runCtx) scatterRows(lo, hi int) {
+	blocks := rc.e.P.Blocks
+	x, scale, w, ring := rc.x, rc.scale, rc.w, rc.ring
+	mark := rc.markDirty
+	for bi := lo; bi < hi; bi++ {
+		sb := blocks[bi]
+		if rc.rowMode[sb.BlockRow] != modeDense {
+			continue
+		}
+		if mark {
+			atomic.StoreUint32(&rc.colDirty[sb.BlockCol], 1)
+		}
+		off := int(sb.EntryOff) * w
+		scatterBlock(ring, w, rc.bins[off:off+len(sb.Srcs)*w], x, scale, sb.Srcs)
+	}
+}
+
+// scatterFrontier is the sparse Scatter body: walk the compacted frontier
+// through the partition's per-source entry index, rewriting only the
+// changed sources' bin entries and marking their destination columns
+// dirty. The iteration domain is [0, sparseTotal) in ENTRY units; a chunk
+// [lo, hi) maps back to worklist items via the cumulative sparseOff, so a
+// hub source's entries split cleanly across workers (bin slots are
+// per-source disjoint, and two workers never share a slot).
+func (rc *runCtx) scatterFrontier(lo, hi int) {
+	p := rc.e.P
+	x, scale, w, ring, bins := rc.x, rc.scale, rc.w, rc.ring, rc.bins
+	nodes := rc.sparseNodes[:rc.sparseN]
+	off := rc.sparseOff[: rc.sparseN+1 : rc.sparseN+1]
+	sep := p.SrcEntryPtr
+	lo64, hi64 := int64(lo), int64(hi)
+	it := sort.Search(len(nodes), func(i int) bool { return off[i+1] > lo64 })
+	for ; it < len(nodes) && off[it] < hi64; it++ {
+		u := int(nodes[it])
+		s, t := sep[u], sep[u+1]
+		if d := lo64 - off[it]; d > 0 {
+			s += d
+		}
+		if over := off[it] + (sep[u+1] - sep[u]) - hi64; over > 0 {
+			t -= over
+		}
+		ents := p.SrcEntryIdx[s:t]
+		cols := p.SrcEntryCol[s:t]
+		cols = cols[:len(ents)]
+		if w == 1 {
+			var v float64
 			if ring == vprog.Sum {
-				for k, ei := range ents {
-					eb := int(ei) * w
-					vb := bins[eb : eb+w]
-					vb = vb[:len(xb)]
-					for l, xv := range xb {
-						vb[l] = xv * sc
-					}
-					atomic.StoreUint32(&rc.colDirty[cols[k]], 1)
-				}
-				continue
+				v = x[u] * scale[u]
+			} else {
+				v = x[u] + scale[u]
 			}
+			for k, ei := range ents {
+				bins[ei] = v
+				atomic.StoreUint32(&rc.colDirty[cols[k]], 1)
+			}
+			continue
+		}
+		sc := scale[u]
+		base := u * w
+		xb := x[base : base+w]
+		if ring == vprog.Sum {
 			for k, ei := range ents {
 				eb := int(ei) * w
 				vb := bins[eb : eb+w]
 				vb = vb[:len(xb)]
 				for l, xv := range xb {
-					vb[l] = xv + sc
+					vb[l] = xv * sc
 				}
 				atomic.StoreUint32(&rc.colDirty[cols[k]], 1)
 			}
+			continue
+		}
+		for k, ei := range ents {
+			eb := int(ei) * w
+			vb := bins[eb : eb+w]
+			vb = vb[:len(xb)]
+			for l, xv := range xb {
+				vb[l] = xv + sc
+			}
+			atomic.StoreUint32(&rc.colDirty[cols[k]], 1)
 		}
 	}
+}
 
-	// Cache (SCGA): seed the output segment with the static-bin
-	// contributions — a streaming copy that doubles as zero-initialisation.
-	rc.cacheBody = func(lo, hi int) {
-		copy(rc.y[lo:hi], rc.sta[lo:hi])
+// cacheSeeds is the Cache body (SCGA): seed the output segment of every
+// block-column that gathers this iteration with the static-bin
+// contributions — a streaming copy that doubles as zero-initialisation. A
+// clean column is left alone: it keeps its previous values (patchColumn).
+func (rc *runCtx) cacheSeeds(lo, hi int) {
+	side, r, w := rc.e.P.Side, rc.e.F.NumRegular, rc.w
+	for j := lo; j < hi; j++ {
+		if rc.columnDirty(j) {
+			clo, chi := j*side*w, min(j*side+side, r)*w
+			copy(rc.y[clo:chi], rc.sta[clo:chi])
+		}
 	}
+}
 
-	// Gather+Apply (SCGA): drain the dynamic bins column-by-column, then
-	// apply the user function over the column's node range, recording the
-	// changed nodes as next iteration's frontier. When no input source of
-	// a column changed this iteration, its inputs are unchanged — copy the
-	// previous values forward and skip the gather (valid because Apply is
-	// a pure function of the gathered sum, the same contract the deferred
-	// sink Post-Phase requires).
-	rc.gatherBody = func(lo, hi int) {
-		p := rc.e.P
-		f := rc.e.F
-		r := f.NumRegular
-		x, y, w, ring := rc.x, rc.y, rc.w, rc.ring
-		prog := rc.prog
-		track := rc.track
-		sep := p.SrcEntryPtr
-		side := p.Side
-		for j := lo; j < hi; j++ {
-			// The first iteration must Apply everywhere (seed-only columns
-			// have no sub-blocks yet carry static contributions); with
-			// tracking off every column recomputes every iteration.
-			dirty := rc.first || !track || atomic.LoadUint32(&rc.colDirty[j]) != 0
-			if !dirty {
-				clo := j * side * w
-				chi := clo + side*w
-				if chi > r*w {
-					chi = r * w
-				}
-				copy(y[clo:chi], x[clo:chi])
-				rc.colDelta[j] = 0
-				rc.workLen[j] = 0
-				rc.workEnt[j] = 0
-				continue
-			}
-			for _, sb := range p.Cols[j] {
-				off := int(sb.EntryOff) * w
-				gatherBlock(ring, w, y, rc.bins[off:off+len(sb.Srcs)*w], sb.Dst)
-			}
-			// Apply over this block-column's node range. With tracking on,
-			// changed nodes become block-row j's frontier worklist for the
-			// next iteration (per-node quiescence: a zero Apply delta means
-			// out == prev, the vprog.Program contract).
-			clo := j * side
-			chi := clo + side
-			if chi > r {
-				chi = r
-			}
-			var d float64
+// columnDirty reports whether block-column j gathers this iteration. The
+// first iteration must Apply everywhere (seed-only columns have no
+// sub-blocks yet carry static contributions); with tracking off every
+// column recomputes every iteration; otherwise a column gathers when
+// Scatter rewrote an entry that feeds it.
+func (rc *runCtx) columnDirty(j int) bool {
+	return rc.first || !rc.track || atomic.LoadUint32(&rc.colDirty[j]) != 0
+}
+
+// patchColumn makes block-column j of y equal to x again, before its
+// worklist is overwritten. After the swap the two differ exactly at the
+// nodes of last iteration's worklist of column j — Gather recorded the
+// nodes whose bits it changed, and every other node of y was left equal to
+// x — so only those are copied: O(frontier) instead of O(side). With
+// tracking off no column is ever clean or pushed, so this never runs.
+func (rc *runCtx) patchColumn(j int) {
+	clo := j * rc.e.P.Side
+	wl := rc.work[clo : clo+int(rc.workLen[j])]
+	x, y, w := rc.x, rc.y, rc.w
+	if w == 1 {
+		for _, v := range wl {
+			y[v] = x[v]
+		}
+		return
+	}
+	for _, v := range wl {
+		b := int(v) * w
+		copy(y[b:b+w], x[b:b+w])
+	}
+}
+
+// gatherCols is the Gather+Apply body (SCGA): drain the dynamic bins
+// column-by-column, then apply the user function over the column's node
+// range — one ApplyRange call for a ranged program — recording the changed
+// nodes as next iteration's frontier. When no input source of a column
+// changed this iteration, its inputs are unchanged: the column keeps its
+// previous values (patchColumn) and skips the gather (valid because Apply
+// is a pure function of the gathered sum, the same contract the deferred
+// sink Post-Phase requires).
+func (rc *runCtx) gatherCols(lo, hi int) {
+	p := rc.e.P
+	f := rc.e.F
+	r := f.NumRegular
+	x, y, w, ring := rc.x, rc.y, rc.w, rc.ring
+	track := rc.track
+	sep := p.SrcEntryPtr
+	side := p.Side
+	for j := lo; j < hi; j++ {
+		if !rc.columnDirty(j) {
+			rc.patchColumn(j)
+			rc.colDelta[j] = 0
+			rc.workLen[j] = 0
+			rc.workEnt[j] = 0
+			continue
+		}
+		for _, sb := range p.Cols[j] {
+			off := int(sb.EntryOff) * w
+			gatherBlock(ring, w, y, rc.bins[off:off+len(sb.Srcs)*w], sb.Dst)
+		}
+		// Apply over this block-column's node range. With tracking on,
+		// changed nodes become block-row j's frontier worklist for the
+		// next iteration (per-node quiescence: a zero Apply delta means
+		// out == prev, the vprog.Program contract).
+		clo := j * side
+		chi := min(clo+side, r)
+		var d float64
+		if rg := rc.ranger; rg != nil {
+			d = rg.ApplyRange(f.OldID[clo:chi], y[clo:chi], x[clo:chi], y[clo:chi])
+		} else {
+			prog := rc.prog
 			for v := clo; v < chi; v++ {
 				old := uint32(f.OldID[v])
 				d += prog.Apply(old, y[v*w:v*w+w], x[v*w:v*w+w], y[v*w:v*w+w])
 			}
-			rc.colDelta[j] = d
-			if track {
-				// Frontier recording is a separate bitwise x-vs-y compare
-				// pass, NOT folded into the Apply loop: keeping the worklist
-				// counters live across the opaque Apply call costs far more
-				// in spilled registers than this second (branch-light,
-				// cache-hot) sweep. Bit-equality is also the exact criterion
-				// the skip machinery needs — a source must re-send iff its
-				// output bits changed — independent of the delta the program
-				// reports.
-				wl := rc.work[clo:chi]
-				sl := sep[clo : chi+1 : chi+1]
-				cnt := 0
-				var fe int64
-				if w == 1 {
-					xb := x[clo:chi]
-					yb := y[clo:chi]
-					yb = yb[:len(xb)]
-					for k, xv := range xb {
-						// Branchless: the worklist slot is written
-						// unconditionally (cnt only advances on a change, so
-						// a non-change's write lands on a slot the next
-						// change overwrites) and the counters advance by
-						// conditional moves, so a mixed changed/quiet column
-						// costs no mispredictions.
-						wl[cnt] = int32(clo + k)
-						e := sl[k+1] - sl[k]
-						if math.Float64bits(yb[k]) != math.Float64bits(xv) {
-							cnt++
-							fe += e
-						}
-					}
-				} else {
-					for v := clo; v < chi; v++ {
-						xb := x[v*w : v*w+w]
-						yb := y[v*w : v*w+w]
-						yb = yb[:len(xb)]
-						for l, xv := range xb {
-							if math.Float64bits(yb[l]) != math.Float64bits(xv) {
-								k := v - clo
-								wl[cnt] = int32(v)
-								cnt++
-								fe += sl[k+1] - sl[k]
-								break
-							}
-						}
-					}
-				}
-				rc.workLen[j] = int32(cnt)
-				rc.workEnt[j] = fe
-			}
 		}
-	}
-
-	// Gather+Apply by push (programs declaring vprog.MinApplier, on an
-	// iteration with no dense row): each block-column starts from its
-	// previous values, folds in only the runs of the entries this Scatter
-	// rewrote, and Applies only the nodes that fold lowered, in ascending
-	// order, recording the changed ones as next iteration's worklist. The
-	// Cache step is skipped: the seed contributions were folded in the
-	// first iteration and cannot lower a value again. Every value, delta
-	// and worklist equals the dense Gather's: a value only ever falls, so
-	// an unchanged entry was already folded into it, and Apply of an
-	// unlowered node returns its previous value with a zero delta.
-	rc.pushGatherBody = func(lo, hi int) {
-		p := rc.e.P
-		f := rc.e.F
-		r := f.NumRegular
-		x, y, prog := rc.x, rc.y, rc.prog
-		sep := p.SrcEntryPtr
-		side, words := p.Side, rc.pushWords
-		for j := lo; j < hi; j++ {
-			clo := j * side
-			chi := min(clo+side, r)
-			xc, yc := x[clo:chi], y[clo:chi]
-			copy(yc, xc)
-			rc.colDelta[j], rc.workLen[j], rc.workEnt[j], rc.pushEdges[j] = 0, 0, 0, 0
-			ents := rc.pushEnt[rc.pushOff[j]:rc.pushOff[j+1]]
-			if len(ents) == 0 {
-				continue
-			}
-			bm := rc.touched[j*words : j*words+words]
-			rc.pushEdges[j] = pushMin1(yc, rc.bins, p.Dst, rc.runOff, ents, bm, uint32(clo))
+		rc.colDelta[j] = d
+		if track {
+			// Frontier recording is a separate bitwise x-vs-y compare
+			// pass, NOT folded into the Apply loop: keeping the worklist
+			// counters live across the opaque Apply call costs far more
+			// in spilled registers than this second (branch-light,
+			// cache-hot) sweep. Bit-equality is also the exact criterion
+			// the skip machinery needs — a source must re-send iff its
+			// output bits changed — independent of the delta the program
+			// reports.
 			wl := rc.work[clo:chi]
+			sl := sep[clo : chi+1 : chi+1]
 			cnt := 0
 			var fe int64
-			var d float64
-			for wi, word := range bm {
-				if word == 0 {
-					continue
-				}
-				bm[wi] = 0
-				for ; word != 0; word &= word - 1 {
-					k := wi*64 + bits.TrailingZeros64(word)
-					v := clo + k
-					d += prog.Apply(uint32(f.OldID[v]), yc[k:k+1], xc[k:k+1], yc[k:k+1])
-					if math.Float64bits(yc[k]) != math.Float64bits(xc[k]) {
-						wl[cnt] = int32(v)
+			if w == 1 {
+				xb := x[clo:chi]
+				yb := y[clo:chi]
+				yb = yb[:len(xb)]
+				for k, xv := range xb {
+					// Branchless: the worklist slot is written
+					// unconditionally (cnt only advances on a change, so
+					// a non-change's write lands on a slot the next
+					// change overwrites) and the counters advance by
+					// conditional moves, so a mixed changed/quiet column
+					// costs no mispredictions.
+					wl[cnt] = int32(clo + k)
+					e := sl[k+1] - sl[k]
+					if math.Float64bits(yb[k]) != math.Float64bits(xv) {
 						cnt++
-						fe += sep[v+1] - sep[v]
+						fe += e
+					}
+				}
+			} else {
+				for v := clo; v < chi; v++ {
+					xb := x[v*w : v*w+w]
+					yb := y[v*w : v*w+w]
+					yb = yb[:len(xb)]
+					for l, xv := range xb {
+						if math.Float64bits(yb[l]) != math.Float64bits(xv) {
+							k := v - clo
+							wl[cnt] = int32(v)
+							cnt++
+							fe += sl[k+1] - sl[k]
+							break
+						}
 					}
 				}
 			}
-			rc.colDelta[j] = d
 			rc.workLen[j] = int32(cnt)
 			rc.workEnt[j] = fe
 		}
 	}
+}
 
-	// Translate: final values from NEW id order back to original ids.
-	rc.translateBody = func(lo, hi int) {
-		f := rc.e.F
-		w := rc.w
-		for old := lo; old < hi; old++ {
-			newV := int(f.NewID[old])
-			copy(rc.out[old*w:old*w+w], rc.x[newV*w:newV*w+w])
+// pushCols is the Gather+Apply body by push (programs declaring
+// vprog.MinApplier, on an iteration with no dense row): each block-column
+// starts from its previous values (patchColumn), folds in only the runs of
+// the entries this Scatter rewrote, and Applies only the nodes that fold
+// lowered, in ascending order, recording the changed ones as next
+// iteration's worklist. The Cache step is skipped: the seed contributions
+// were folded in the first iteration and cannot lower a value again. Every
+// value, delta and worklist equals the dense Gather's: a value only ever
+// falls, so an unchanged entry was already folded into it, and Apply of an
+// unlowered node returns its previous value with a zero delta.
+func (rc *runCtx) pushCols(lo, hi int) {
+	p := rc.e.P
+	f := rc.e.F
+	r := f.NumRegular
+	x, y, prog := rc.x, rc.y, rc.prog
+	sep := p.SrcEntryPtr
+	side, words := p.Side, rc.pushWords
+	for j := lo; j < hi; j++ {
+		clo := j * side
+		chi := min(clo+side, r)
+		xc, yc := x[clo:chi], y[clo:chi]
+		rc.patchColumn(j)
+		rc.colDelta[j], rc.workLen[j], rc.workEnt[j], rc.pushEdges[j] = 0, 0, 0, 0
+		ents := rc.pushEnt[rc.pushOff[j]:rc.pushOff[j+1]]
+		if len(ents) == 0 {
+			continue
 		}
+		bm := rc.touched[j*words : j*words+words]
+		rc.pushEdges[j] = pushMin1(yc, rc.bins, p.Dst, rc.runOff, ents, bm, uint32(clo))
+		wl := rc.work[clo:chi]
+		cnt := 0
+		var fe int64
+		var d float64
+		for wi, word := range bm {
+			if word == 0 {
+				continue
+			}
+			bm[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				k := wi*64 + bits.TrailingZeros64(word)
+				v := clo + k
+				d += prog.Apply(uint32(f.OldID[v]), yc[k:k+1], xc[k:k+1], yc[k:k+1])
+				if math.Float64bits(yc[k]) != math.Float64bits(xc[k]) {
+					wl[cnt] = int32(v)
+					cnt++
+					fe += sep[v+1] - sep[v]
+				}
+			}
+		}
+		rc.colDelta[j] = d
+		rc.workLen[j] = int32(cnt)
+		rc.workEnt[j] = fe
+	}
+}
+
+// translate is the Translate body: final values of original ids [lo, hi),
+// from NEW id order back to original order.
+func (rc *runCtx) translate(lo, hi int) {
+	f := rc.e.F
+	x, w := rc.x, rc.w
+	if w == 1 {
+		out := rc.out[lo:hi]
+		for k, nv := range f.NewID[lo:hi] {
+			out[k] = x[nv]
+		}
+		return
+	}
+	for old := lo; old < hi; old++ {
+		newV := int(f.NewID[old])
+		copy(rc.out[old*w:old*w+w], x[newV*w:newV*w+w])
 	}
 }
 
@@ -692,7 +755,7 @@ func (rc *runCtx) iterateMain() float64 {
 	rc.mark(1)
 	gather := rc.pushGatherBody
 	if !rc.pushing {
-		sched.ForRangeStop(e.F.NumRegular*rc.w, rc.threads, 8192, rc.stopPtr, rc.cacheBody)
+		sched.ForRangeStop(e.P.B, rc.threads, 1, rc.stopPtr, rc.cacheBody)
 		gather = rc.gatherBody
 	}
 	rc.mark(2)
